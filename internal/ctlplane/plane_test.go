@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"swizzleqos/internal/fabric"
 	"swizzleqos/internal/faults"
 	"swizzleqos/internal/noc"
 )
@@ -32,13 +33,12 @@ const testScript = `
 
 const testTotal = noc.Cycle(12000)
 
-func testConfig(shards int, withFaults bool) SimConfig {
+func testConfig(withFaults bool) SimConfig {
 	cfg := SimConfig{
 		Radix:     8,
 		Seed:      42,
 		SnapEvery: 2000,
 		Degrade:   true,
-		Shards:    shards,
 	}
 	if withFaults {
 		cfg.Faults = &faults.Config{Seed: 9, FailStops: []faults.FailStop{
@@ -94,7 +94,7 @@ func journaledRun(t *testing.T, dir string, total noc.Cycle, finish bool) (*Plan
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(testConfig(0, true))
+	p, err := New(testConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestTornJournalRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := New(testConfig(0, true))
+	ref, err := New(testConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestCorruptMiddleRefused(t *testing.T) {
 // delivery trace and counters must be identical to the clean run.
 func TestRejectedCommandsDontDisturb(t *testing.T) {
 	run := func(noise bool) *Plane {
-		p, err := New(testConfig(0, true))
+		p, err := New(testConfig(true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,24 +446,37 @@ func TestRejectedCommandsDontDisturb(t *testing.T) {
 	}
 }
 
-// TestShardsBitIdentical runs the fault-free scenario at shard counts
-// 1, 2, and 4: sharding is pure mechanism and must not move a flit.
-func TestShardsBitIdentical(t *testing.T) {
-	run := func(shards int) *Plane {
-		cfg := testConfig(shards, false)
-		cfg.ShardWorkers = shards
-		p, err := New(cfg)
+// TestPlaneGoldenTraceHash pins the delivery-trace digest and counters
+// of the scripted scenario, with and without the mid-run fail-stop. The
+// values were recorded before the crossbar's cycle loop was flattened
+// to a single walk; any change to them is a behaviour change.
+func TestPlaneGoldenTraceHash(t *testing.T) {
+	for _, tc := range []struct {
+		faults bool
+		hash   uint64
+		want   fabric.Counters
+	}{
+		{
+			faults: false, hash: 0x27027094493d4ea4,
+			want: fabric.Counters{Injected: 1234, Admitted: 1195, Delivered: 1191, ArbCycles: 6938,
+				IdleCycles: 79834, DataCycles: 9228, SkippedOutputs: 79834, SkippedAdmits: 93198},
+		},
+		{
+			faults: true, hash: 0xf49a62798879e2c5,
+			want: fabric.Counters{Injected: 1094, Admitted: 1055, Delivered: 1051, ArbCycles: 6798,
+				IdleCycles: 81094, DataCycles: 8108},
+		},
+	} {
+		p, err := New(testConfig(tc.faults))
 		if err != nil {
 			t.Fatal(err)
 		}
 		runScripted(t, p, testSchedule(t), nil, testTotal)
-		return p
-	}
-	ref := run(1)
-	for _, shards := range []int{2, 4} {
-		p := run(shards)
-		if p.TraceHash() != ref.TraceHash() || p.Counters() != ref.Counters() {
-			t.Fatalf("shards=%d diverged: hash %016x vs %016x", shards, p.TraceHash(), ref.TraceHash())
+		if p.TraceHash() != tc.hash {
+			t.Errorf("faults=%v: trace hash %#016x, want %#016x", tc.faults, p.TraceHash(), tc.hash)
+		}
+		if p.Counters() != tc.want {
+			t.Errorf("faults=%v: counters diverge:\n got %+v\nwant %+v", tc.faults, p.Counters(), tc.want)
 		}
 	}
 }
@@ -472,7 +485,7 @@ func TestShardsBitIdentical(t *testing.T) {
 // budget, watches the over-budget retry hint, and re-admits after the
 // deterministic expiry.
 func TestLeaseExpiryFreesBudget(t *testing.T) {
-	cfg := testConfig(0, false)
+	cfg := testConfig(false)
 	cfg.GBShare = 0.5
 	p, err := New(cfg)
 	if err != nil {
