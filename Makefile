@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race race-shard vet fmt lint benchguard bench-arb bench-shard serve-check staticcheck govulncheck bench experiments verify examples cover fuzz
+.PHONY: all check build test race vet fmt lint benchguard bench-arb serve-check perfbench staticcheck govulncheck bench experiments verify examples cover fuzz
 
 all: build vet test
 
@@ -23,21 +23,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Dynamic counterpart of the shardsafety analyzer: the shard executor
-# and the three sharded engines under the race detector with enough
-# scheduler parallelism (GOMAXPROCS >= 4) that Par stages genuinely
-# overlap rather than serialize on a starved runtime.
-race-shard:
-	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		./internal/shard/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/
-
 vet:
 	$(GO) vet ./...
 
 # In-repo invariant linter (stdlib-only, see DESIGN.md "Invariants"):
-# determinism, //ssvc:hotpath allocation-freedom, TxPool recycle
-# discipline, and panic-freeze on engine paths. Exceptions live in
-# lint.allow with a justification each.
+# the nine rules, from determinism and //ssvc:hotpath allocation-freedom
+# to durability ordering, value ranges and taint barriers. Exceptions
+# live in lint.allow with a justification each.
 lint:
 	$(GO) run ./cmd/ssvc-lint -strict ./...
 
@@ -60,16 +52,6 @@ bench-arb:
 		-benchmem -benchtime=10000x ./internal/core/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/
 	$(GO) run ./cmd/ssvc-benchguard
 
-# Perf gate for the sharded pipeline (BENCH_shard.json): the shard
-# equivalence tests, then a short-benchtime sweep of the sharded cycle
-# benchmarks with the allocation benchguard over them. As with
-# bench-arb, only B/op and allocs/op gate; ns/op is informational.
-bench-shard:
-	$(GO) test ./internal/switchsim/ ./internal/mesh/ ./internal/compose/ -run 'Shard'
-	$(GO) test -run='^$$' -bench='SwitchCycleSharded|MeshCycleSharded' \
-		-benchmem -benchtime=20000x ./internal/switchsim/ ./internal/mesh/
-	$(GO) run ./cmd/ssvc-benchguard
-
 # End-to-end crash-recovery gate for the control plane: run the scripted
 # ssvc-serve scenario uninterrupted, SIGKILL a paced copy mid-run and
 # resume it from its journal, then replay the journal offline — all
@@ -77,6 +59,12 @@ bench-shard:
 # (DESIGN.md "Control plane").
 serve-check:
 	sh scripts/serve_check.sh
+
+# The repository benchmark (BENCHMARK.json): builds _perfbench from
+# source and runs one workload. Pass the harness flags through ARGS, e.g.
+#   make perfbench ARGS="--workload xbar64-sat --seed 1 --seconds 20 --trace 0"
+perfbench:
+	bash _perfbench/run.sh $(ARGS)
 
 # Optional linters: run when present, skip with a notice otherwise. The
 # container baseline has no network, so these must never try to install.

@@ -6,19 +6,17 @@
 //
 //	ssvc-bench [-exp all|fig4a|fig4b|fig5|adherence|table1|table2|area|lanes|energy|glbound|glbursts|chaining|fixedpriority|static|sigbits|motivation|scale64|convergence|decoupling|gsf|compose|pvc|faults|idleskip|ctlplane]
 //	           [-faults] [-quick] [-csv] [-cycles N] [-warmup N] [-seed N] [-workers N]
-//	           [-shards N] [-shard-workers N] [-cpuprofile FILE] [-memprofile FILE]
+//	           [-cpuprofile FILE] [-memprofile FILE]
 //
 // -faults is shorthand for the fault-injection experiment: alone it runs
 // just that experiment; combined with -exp it adds faults to the
 // selection.
 //
 // Independent sweep points within an experiment run on -workers
-// goroutines (default: GOMAXPROCS); -shards additionally partitions each
-// engine into conservative-PDES shards driven by -shard-workers
-// goroutines (default: composed against GOMAXPROCS so the two layers
-// never oversubscribe the host — see runner.Compose). The tables are
-// byte-identical at any worker or shard count. -cpuprofile and
-// -memprofile write pprof profiles of the whole run for `go tool pprof`.
+// goroutines (default: GOMAXPROCS); each simulation itself is one serial
+// cycle loop. The tables are byte-identical at any worker count.
+// -cpuprofile and -memprofile write pprof profiles of the whole run for
+// `go tool pprof`.
 package main
 
 import (
@@ -53,8 +51,6 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Uint64("seed", 1, "workload RNG seed")
 
 		workers    = fs.Int("workers", 0, "sweep-point goroutines (0 = GOMAXPROCS, 1 = serial)")
-		shards     = fs.Int("shards", 0, "engine shards per run (<= 1 = serial walk)")
-		shardW     = fs.Int("shard-workers", 0, "goroutines per sharded engine (0 = compose against GOMAXPROCS)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -103,8 +99,6 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 	}
 	o.Seed = *seed
 	o.Workers = *workers
-	o.Shards = *shards
-	o.ShardWorkers = *shardW
 
 	selected := map[string]bool{}
 	for _, name := range strings.Split(*exp, ",") {

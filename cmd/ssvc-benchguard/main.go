@@ -4,9 +4,8 @@
 // override earlier ones per benchmark, so BENCH_bitplane.json supersedes
 // BENCH_baseline.json where both record the same benchmark and
 // contributes the idle-regime and arbitrate-kernel benchmarks the older
-// file predates, BENCH_shard.json adds the sharded cycle-loop
-// benchmarks, and BENCH_ctlplane.json adds the control-plane-attached
-// idle benchmark on top.
+// file predates, and BENCH_ctlplane.json adds the control-plane-attached
+// idle benchmark on top. The report lists benchmarks sorted by name.
 //
 // Only B/op and allocs/op are guarded: they are deterministic at a
 // fixed -benchtime, so the gate cannot flake the way an ns/op bound
@@ -20,8 +19,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -30,9 +31,7 @@ import (
 var guarded = map[string]string{
 	"BenchmarkSwitchCycleRecycled":  "./internal/switchsim/",
 	"BenchmarkSwitchCycleIdle":      "./internal/switchsim/",
-	"BenchmarkSwitchCycleSharded":   "./internal/switchsim/",
 	"BenchmarkMeshCycleRecycled":    "./internal/mesh/",
-	"BenchmarkMeshCycleSharded":     "./internal/mesh/",
 	"BenchmarkComposeCycleRecycled": "./internal/compose/",
 	"BenchmarkBitplaneArbitrate":    "./internal/core/",
 	"BenchmarkCtlPlaneIdle":         "./internal/ctlplane/",
@@ -46,7 +45,7 @@ type metric struct {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_baseline.json,BENCH_bitplane.json,BENCH_shard.json,BENCH_ctlplane.json", "comma-separated baseline files; later files override earlier entries")
+	baselinePath := flag.String("baseline", "BENCH_baseline.json,BENCH_bitplane.json,BENCH_ctlplane.json", "comma-separated baseline files; later files override earlier entries")
 	benchtime := flag.String("benchtime", "20000x", "go test -benchtime value (iteration counts keep allocs/op deterministic; long enough to amortise residual pool warm-up below 0.5 B/op)")
 	flag.Parse()
 
@@ -65,32 +64,47 @@ func main() {
 		fatal(err)
 	}
 
-	failed := 0
-	checked := 0
-	for name, m := range got {
-		want, ok := base[name]
-		if !ok {
-			fmt.Printf("  %-45s B/op=%-6.0f allocs/op=%-4.0f (no baseline; informational)\n", name, m.BOp, m.AllocsOp)
-			continue
-		}
-		checked++
-		status := "ok"
-		if m.AllocsOp > want.AllocsOp || m.BOp > want.BOp {
-			status = fmt.Sprintf("REGRESSION (baseline B/op=%.0f allocs/op=%.0f)", want.BOp, want.AllocsOp)
-			failed++
-		}
-		fmt.Printf("  %-45s B/op=%-6.0f allocs/op=%-4.0f %s\n", name, m.BOp, m.AllocsOp, status)
-	}
-	for name := range base {
-		if _, ok := got[name]; !ok {
-			fmt.Printf("  %-45s MISSING: baseline entry but benchmark did not run\n", name)
-			failed++
-		}
-	}
+	checked, failed := compare(os.Stdout, got, base)
 	if failed > 0 {
 		fatal(fmt.Errorf("%d allocation regression(s) against %s", failed, *baselinePath))
 	}
 	fmt.Printf("benchguard: %d benchmark(s) at or below baseline allocations\n", checked)
+}
+
+// compare writes one report line per benchmark, sorted by name, and
+// counts the benchmarks checked against a baseline and the failures: an
+// allocation regression, or a baseline entry whose benchmark did not run.
+func compare(w io.Writer, got, base map[string]metric) (checked, failed int) {
+	names := make([]string, 0, len(got)+len(base))
+	for name := range got {
+		names = append(names, name)
+	}
+	for name := range base {
+		if _, ok := got[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		m, ran := got[name]
+		want, ok := base[name]
+		switch {
+		case !ran:
+			fmt.Fprintf(w, "  %-45s MISSING: baseline entry but benchmark did not run\n", name)
+			failed++
+		case !ok:
+			fmt.Fprintf(w, "  %-45s B/op=%-6.0f allocs/op=%-4.0f (no baseline; informational)\n", name, m.BOp, m.AllocsOp)
+		default:
+			checked++
+			status := "ok"
+			if m.AllocsOp > want.AllocsOp || m.BOp > want.BOp {
+				status = fmt.Sprintf("REGRESSION (baseline B/op=%.0f allocs/op=%.0f)", want.BOp, want.AllocsOp)
+				failed++
+			}
+			fmt.Fprintf(w, "  %-45s B/op=%-6.0f allocs/op=%-4.0f %s\n", name, m.BOp, m.AllocsOp, status)
+		}
+	}
+	return checked, failed
 }
 
 // loadBaseline flattens the "after" blocks of BENCH_baseline.json into

@@ -330,46 +330,12 @@ func TestSortDiagnostics(t *testing.T) {
 	}
 }
 
-// TestModuleIsLintClean is the self-test: the shipped tree, filtered by
-// the shipped lint.allow, must produce zero findings and leave no
-// allowlist entry unused — the same check `make lint` (which runs
-// ssvc-lint -strict) enforces.
-func TestShardSafetyFixture(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/shardbad"}
-	ds, err := analysis.ShardSafety(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
 func TestDurabilityFixture(t *testing.T) {
 	l := newLoader(t)
 	pkgs := []string{"internal/analysis/testdata/src/durabilitybad"}
 	ds, err := analysis.Durability(l, pkgs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
-// TestShardSafetyMutation is the meta-test: the fixture is a faithful
-// copy of an engine's admit-and-offer Par stage with one injected
-// isolation break (a shared counter bumped from the Par stage). If the
-// analyzer ever stops reporting it, the check has silently gone blind
-// and this test fails.
-func TestShardSafetyMutation(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/shardmut"}
-	ds, err := analysis.ShardSafety(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) == 0 {
-		t.Fatal("shardsafety missed the injected shared-counter write from a Par stage")
 	}
 	want := wantMarkers(t, repoRoot(t), pkgs...)
 	compareFindings(t, want, diagSet(ds), ds)
@@ -481,6 +447,10 @@ func allowlistEntries(t *testing.T, root string) []string {
 	return entries
 }
 
+// TestModuleIsLintClean is the self-test: the shipped tree, filtered by
+// the shipped lint.allow, must produce zero findings and leave no
+// allowlist entry unused — the same check `make lint` (which runs
+// ssvc-lint -strict) enforces.
 func TestModuleIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module and invokes the compiler")
@@ -511,7 +481,7 @@ func TestModuleIsLintClean(t *testing.T) {
 	for _, line := range entries {
 		an := strings.Fields(line)[0]
 		switch an {
-		case "shardsafety", "durability", "valuerange", "taint":
+		case "durability", "valuerange", "taint":
 			t.Errorf("lint.allow entry for %s: the interprocedural analyzers admit no suppressions (%s)", an, line)
 		}
 	}

@@ -8,8 +8,8 @@ import (
 	"sync"
 )
 
-// This file is the interprocedural layer under the shardsafety and
-// durability analyzers: a whole-module function index with per-function
+// This file is the interprocedural layer under the durability,
+// valuerange and taint analyzers: a whole-module function index with per-function
 // effect summaries (which parameters' reachable memory a function may
 // write, which struct fields it writes transitively, whether it touches
 // package-level state or spawns goroutines, and which of its func-typed
@@ -30,37 +30,18 @@ import (
 // closures before any cycle runs — and calls into packages outside the
 // module (the standard library) are trusted as well.
 
-// Annotation markers recognized on struct fields and functions. They are
-// the sanctioned escape hatches and ownership declarations the
-// shardsafety and durability analyzers consume; DESIGN.md "Invariants"
-// rules 7-8 document the semantics.
+// Annotation markers recognized on functions. DESIGN.md "Invariants"
+// rules 7-9 document the semantics.
 const (
-	// MarkShards annotates the engine's shard-directory field: element k
-	// of the slice is the root of shard k's owned state.
-	MarkShards = "//ssvc:shards"
-	// MarkOwnedIndex annotates a port-domain container: element i belongs
-	// to the shard whose [lo, hi) range covers i.
-	MarkOwnedIndex = "//ssvc:owned-index"
-	// MarkMailbox annotates a per-shard exchange field on the shard
-	// struct: slot j is written only by the owning shard and read only by
-	// shard j, with a stage barrier between the two.
-	MarkMailbox = "//ssvc:mailbox"
-	// MarkOwner annotates the back-pointer from a port-domain element to
-	// its owning shard struct; `x.owner == sh` guards prove x is local.
-	MarkOwner = "//ssvc:owner"
-	// MarkShared annotates a field that is deliberately shared across
-	// shards (the justification lives in the field's comment); reads and
-	// writes of it are exempt from the shardsafety checks.
-	MarkShared = "//ssvc:shared"
-	// MarkSerialOnly annotates a function that must only run on a
-	// single-owner goroutine (the plane's driver or a Serial stage);
-	// calling it from a Par stage or from a spawned goroutine is flagged.
+	// MarkSerialOnly annotates a function that must only run on the
+	// plane's single owner goroutine; calling it from a spawned
+	// goroutine is flagged (rule 7).
 	MarkSerialOnly = "//ssvc:serial-only"
 	// MarkSink annotates a function whose arguments feed the exact
 	// fixed-point arithmetic (cost products, schedulability bounds,
 	// vtick counters); the taint analyzer requires every value reaching
 	// a sink argument to have crossed a barrier first. DESIGN.md
-	// invariant 10 documents the rule.
+	// invariant 9 documents the rule.
 	MarkSink = "//ssvc:sink"
 	// MarkBarrier annotates a validation function: calling it launders
 	// the taint off its receiver and arguments (the callee rejects
@@ -102,15 +83,13 @@ type effectSummary struct {
 
 // callGraph is the shared index both interprocedural analyzers run on.
 type callGraph struct {
-	l            *Loader
-	pkgs         []*Package // sorted by import path, for determinism
-	funcs        map[*types.Func]*funcInfo
-	summaries    map[*types.Func]*effectSummary
-	fieldMark    map[*types.Var]string
-	serialOnly   map[*types.Func]bool
-	shardStructs map[*types.Named]bool
-	chaMu        sync.Mutex
-	chaCache     map[string][]*types.Func
+	l          *Loader
+	pkgs       []*Package // sorted by import path, for determinism
+	funcs      map[*types.Func]*funcInfo
+	summaries  map[*types.Func]*effectSummary
+	serialOnly map[*types.Func]bool
+	chaMu      sync.Mutex
+	chaCache   map[string][]*types.Func
 }
 
 // buildCallGraph indexes every package the loader has type-checked so
@@ -118,13 +97,11 @@ type callGraph struct {
 // they import within the module) and computes the effect fixpoint.
 func buildCallGraph(l *Loader) *callGraph {
 	cg := &callGraph{
-		l:            l,
-		funcs:        map[*types.Func]*funcInfo{},
-		summaries:    map[*types.Func]*effectSummary{},
-		fieldMark:    map[*types.Var]string{},
-		serialOnly:   map[*types.Func]bool{},
-		shardStructs: map[*types.Named]bool{},
-		chaCache:     map[string][]*types.Func{},
+		l:          l,
+		funcs:      map[*types.Func]*funcInfo{},
+		summaries:  map[*types.Func]*effectSummary{},
+		serialOnly: map[*types.Func]bool{},
+		chaCache:   map[string][]*types.Func{},
 	}
 	paths := make([]string, 0, len(l.typed))
 	for ip := range l.typed {
@@ -156,8 +133,8 @@ func buildCallGraph(l *Loader) *callGraph {
 	return cg
 }
 
-// indexPackage collects function declarations, field annotations, and
-// serial-only function markers from one package.
+// indexPackage collects function declarations and serial-only function
+// markers from one package.
 func (cg *callGraph) indexPackage(pkg *Package) {
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
@@ -178,66 +155,7 @@ func (cg *callGraph) indexPackage(pkg *Package) {
 				}
 			}
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			for _, f := range st.Fields.List {
-				mark := fieldMarker(f)
-				if mark == "" {
-					continue
-				}
-				for _, name := range f.Names {
-					fv, ok := pkg.Info.Defs[name].(*types.Var)
-					if !ok {
-						continue
-					}
-					cg.fieldMark[fv] = mark
-					if mark == MarkShards {
-						if named := shardElemType(fv.Type()); named != nil {
-							cg.shardStructs[named] = true
-						}
-					}
-				}
-			}
-			return true
-		})
 	}
-}
-
-// fieldMarker returns the ssvc marker on a struct field's doc or line
-// comment, or "".
-func fieldMarker(f *ast.Field) string {
-	markers := []string{MarkShards, MarkOwnedIndex, MarkMailbox, MarkOwner, MarkShared}
-	for _, grp := range []*ast.CommentGroup{f.Doc, f.Comment} {
-		if grp == nil {
-			continue
-		}
-		for _, c := range grp.List {
-			for _, m := range markers {
-				if isMarker(c.Text, m) {
-					return m
-				}
-			}
-		}
-	}
-	return ""
-}
-
-// shardElemType resolves the shard struct type behind a //ssvc:shards
-// container field ([]*T, []T) to its named type.
-func shardElemType(t types.Type) *types.Named {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return nil
-	}
-	elem := s.Elem()
-	if p, ok := elem.Underlying().(*types.Pointer); ok {
-		elem = p.Elem()
-	}
-	named, _ := elem.(*types.Named)
-	return named
 }
 
 // Root slot markers used in the alias environment beside parameter
@@ -288,7 +206,7 @@ func (cg *callGraph) localSummary(fi *funcInfo) *effectSummary {
 }
 
 // litSummary computes the summary of a free-standing function literal
-// (e.g. a Par stage given inline). Callee summaries are already closed
+// (e.g. a goroutine body given inline). Callee summaries are already closed
 // when this is called, so a single merge pass is exact.
 func (cg *callGraph) litSummary(lit *ast.FuncLit, pkg *Package) *effectSummary {
 	sum := &effectSummary{written: map[*types.Var]bool{}}
@@ -313,8 +231,7 @@ func (b *summaryBuilder) registerFresh(fl *ast.FieldList) {
 }
 
 // walkBody visits statements in source order (closures included: a
-// nested literal's effects belong to the enclosing function, since the
-// engines run their closures on the same shard context that built them).
+// nested literal's effects belong to the enclosing function).
 func (b *summaryBuilder) walkBody(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -366,7 +283,7 @@ func (b *summaryBuilder) walkBody(body *ast.BlockStmt) {
 			b.call(n)
 		case *ast.SendStmt:
 			// Sending on a channel publishes the value; treat the channel
-			// as written state so a Par stage cannot smuggle effects out.
+			// as written state so effects cannot be smuggled out.
 			b.recordWrite(n.Chan)
 		}
 		return true
@@ -435,8 +352,8 @@ func (b *summaryBuilder) recordWrite(lv ast.Expr) {
 // markWritten records the struct fields an lvalue write mutates: the
 // leaf field, then outward through value-typed (non-pointer) embeddings
 // — writing a.b.c also dirties b when b is a struct value inside a, but
-// stops at pointer and slice indirections (writing in.sh.pkts[i] does
-// not dirty the back-pointer sh).
+// stops at pointer and slice indirections (writing s.in.pkts[i] does
+// not dirty the pointer field in).
 func (b *summaryBuilder) markWritten(lv ast.Expr) {
 	switch e := lv.(type) {
 	case *ast.ParenExpr:
@@ -633,8 +550,12 @@ func (b *summaryBuilder) rootObj(e ast.Expr) types.Object {
 
 // fieldVar resolves a selector to the struct field it denotes, or nil
 // for methods and package-qualified names.
-func (b *summaryBuilder) fieldVar(sel *ast.SelectorExpr) *types.Var {
-	if s, ok := b.info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+func (b *summaryBuilder) fieldVar(sel *ast.SelectorExpr) *types.Var { return fieldVarOf(b.info, sel) }
+
+// fieldVarOf resolves a selector to the struct field it denotes, or nil
+// for methods and package-qualified names.
+func fieldVarOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
 		if fv, ok := s.Obj().(*types.Var); ok {
 			return fv
 		}

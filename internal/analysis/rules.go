@@ -25,15 +25,6 @@ var DeterminismPackages = []string{
 	// lease-expiry or snapshot paths (time.Now, but also timers like
 	// time.Sleep/After) would make recovery diverge from the live run.
 	"internal/ctlplane",
-	// The shard executor sits under every engine's sharded pipeline;
-	// it is pure mechanism, so any nondeterminism here (time, global
-	// rand, map iteration) would silently break the byte-identical
-	// contract at shards > 1. It is deliberately NOT in
-	// PanicFreezePackages: executor misuse (stage panics, team size
-	// mismatches) is a programming error surfaced as a panic, and the
-	// engines above it translate their own invariant violations into
-	// frozen-sick errors before they ever reach the executor.
-	"internal/shard",
 }
 
 // PanicFreezePackages must freeze sick through fabric.ErrorReporter /
@@ -68,17 +59,6 @@ var RecycleSources = []MethodRule{
 	{TypeName: "TxPool", Method: "Get"},
 }
 
-// ShardSafetyPackages hold shard.Executor stage programs (the three
-// engines) plus the executor itself; their Par stages must touch only
-// shard-owned state (see shardsafety.go for the ownership rules and
-// the //ssvc:shards family of annotations).
-var ShardSafetyPackages = []string{
-	"internal/shard",
-	"internal/switchsim",
-	"internal/mesh",
-	"internal/compose",
-}
-
 // DurabilityPackages carry the crash-safety ordering contract: the
 // control plane (journal before acknowledgement, single-owner lease
 // heap) and the daemon that spawns goroutines around it.
@@ -88,7 +68,7 @@ var DurabilityPackages = []string{
 }
 
 // ValueRangePackages carry the declared-critical integer arithmetic
-// the interval engine proves overflow-safe (DESIGN.md invariant 9):
+// the interval engine proves overflow-safe (DESIGN.md invariant 8):
 // the admission budget's Frame-scaled cost products, the Eq 1-3
 // schedulability terms, and the datapath shift/mask kernels. Input
 // contracts live on their config structs as //ssvc:range annotations.
@@ -103,7 +83,7 @@ var ValueRangePackages = []string{
 // protocol, the on-disk journal) and where it is consumed by the
 // fixed-point arithmetic; the taint analyzer requires a
 // //ssvc:barrier validation on every path from the first to the
-// second (DESIGN.md invariant 10).
+// second (DESIGN.md invariant 9).
 var TaintPackages = []string{
 	"internal/ctlplane",
 	"cmd/ssvc-serve",

@@ -111,7 +111,6 @@ func RunAll(root string, allow *Allowlist) ([]Diagnostic, error) {
 		return Units(l, []string{rel})
 	})
 	tasks = append(tasks,
-		func() ([]Diagnostic, error) { return shardSafetyWithCG(l, cg, pkgsOf(ShardSafetyPackages)) },
 		func() ([]Diagnostic, error) { return durabilityWithCG(l, cg, pkgsOf(DurabilityPackages)) },
 		func() ([]Diagnostic, error) { return valueRangeWithCG(l, cg, pkgsOf(ValueRangePackages)) },
 		func() ([]Diagnostic, error) { return taintWithCG(l, cg, pkgsOf(TaintPackages)) },

@@ -29,7 +29,6 @@ import (
 	"swizzleqos/internal/fabric"
 	"swizzleqos/internal/faults"
 	"swizzleqos/internal/noc"
-	"swizzleqos/internal/shard"
 	"swizzleqos/internal/traffic"
 )
 
@@ -47,7 +46,7 @@ type PortRef struct {
 type Topology struct {
 	Ports     []int
 	Links     map[PortRef]PortRef // from (node, output port) to (node, input port)
-	Terminals []PortRef           //ssvc:owned-index
+	Terminals []PortRef
 	Route     func(node, terminal int) int
 }
 
@@ -156,11 +155,7 @@ func TwoLevelClos(leaves, terminalsPerLeaf, uplinks int) (Topology, error) {
 // Links map flattened into dense per-port tables so the per-cycle loops
 // never hash a PortRef.
 type node struct {
-	id int
-	// sh is the shard owning this node; li is the node's local index
-	// within it (id - sh.lo).
-	sh       *netShard //ssvc:owner
-	li       int
+	id       int
 	in       []*fabric.Buffer
 	out      []*fabric.Transmission
 	cooldown []bool
@@ -170,60 +165,22 @@ type node struct {
 	hasNext  []bool    // ...valid where true; otherwise the port ejects
 }
 
-// haloCommit is a completed hop crossing a shard boundary: the packet
-// enters the destination node's buffer at the cycle's serial commit
-// stage instead of during the owning shard's parallel transfer walk.
-type haloCommit struct {
-	nd   *node
-	port int
-	pkt  *noc.Packet
-}
-
-// netShard is one contiguous node range [lo, hi) with everything its
-// parallel stages touch: the injection sources of the terminals attached
-// to its nodes, a transmission pool, counter deltas, and the
-// event-driven work masks — no stage shares mutable state across shards
-// (the zero-allocation steady state then holds per shard with no
-// cross-shard pool traffic).
-type netShard struct {
-	idx     int
-	lo, hi  int
-	sources *fabric.Sources
-	txPool  fabric.TxPool
-	// ctr accumulates this cycle's counter deltas from the parallel
-	// stages; the serial commit stage merges and zeroes it.
-	ctr fabric.Counters
-
-	// Event-driven work tracking (see DESIGN.md "Event-driven idle
-	// skipping"), over local node indices: work[li] counts node lo+li's
-	// buffered packets, in-flight transmissions, and pending cooldowns;
-	// active masks the nodes where it is nonzero.
-	work   []int
-	active []uint64
-
-	// outbox[k] holds this shard's boundary commits into shard k this
-	// cycle; delivered holds this shard's ejected packets, in ascending
-	// node order. Both drain at the serial commit stage.
-	outbox    [][]haloCommit //ssvc:mailbox
-	delivered []*noc.Packet
-}
-
 // addWork records one more work item (buffered packet, transmission, or
-// cooldown) at local node li.
+// cooldown) at node nd.
 //
 //ssvc:hotpath
-func (sh *netShard) addWork(li int) {
-	if sh.work[li]++; sh.work[li] == 1 {
-		arb.MaskSet(sh.active, li)
+func (n *Network) addWork(nd *node) {
+	if n.work[nd.id]++; n.work[nd.id] == 1 {
+		arb.MaskSet(n.active, nd.id)
 	}
 }
 
-// subWork records a completed work item at local node li.
+// subWork records a completed work item at node nd.
 //
 //ssvc:hotpath
-func (sh *netShard) subWork(li int) {
-	if sh.work[li]--; sh.work[li] == 0 {
-		arb.MaskClear(sh.active, li)
+func (n *Network) subWork(nd *node) {
+	if n.work[nd.id]--; n.work[nd.id] == 0 {
+		arb.MaskClear(n.active, nd.id)
 	}
 }
 
@@ -233,22 +190,8 @@ type Config struct {
 	BufferFlits int
 	// NewArbiter builds the arbiter for (node, output port) over the
 	// node's input ports; nil defaults to LRG everywhere. Every call
-	// must return an independent instance: arbiters tick concurrently
-	// under sharding.
+	// must return an independent instance.
 	NewArbiter func(nodeID, port, ports int) arb.Arbiter
-
-	// Shards partitions the nodes into contiguous regions simulated as
-	// conservative-PDES logical processes (see internal/shard and
-	// DESIGN.md "Sharded execution"); a terminal's injection lives in
-	// the shard owning its attachment node. Values <= 1 select the
-	// serial walk; results are bit-identical at every shard count.
-	// Fault-injected runs always take the serial walk.
-	Shards int
-	// ShardWorkers bounds the worker goroutines the sharded pipeline
-	// uses. 0 selects min(Shards, GOMAXPROCS); explicit values let
-	// tests force real barrier traffic on small hosts. The worker count
-	// is pure mechanism: it can never change simulation results.
-	ShardWorkers int
 }
 
 // Network is the composed-switch simulator. Not safe for concurrent use.
@@ -259,16 +202,12 @@ type Network struct {
 	fabric.Counters
 	fabric.Hooks
 
-	cfg   Config
-	nodes []*node //ssvc:owned-index
-	part  shard.Partition
-	sh    []*netShard //ssvc:shards
-	// termShard/termGroup map a terminal to its owning shard and its
-	// group index within that shard's sources.
-	termShard []int
-	termGroup []int
-	now       noc.Cycle
-	err       error // terminal invariant violation; freezes the engine
+	cfg     Config
+	nodes   []*node
+	sources *fabric.Sources // one injection group per terminal
+	txPool  fabric.TxPool
+	now     noc.Cycle
+	err     error // terminal invariant violation; freezes the engine
 
 	faults   *faults.Injector
 	portBase []int // flat fault-port id of each node's port 0
@@ -279,12 +218,12 @@ type Network struct {
 
 	totalPorts int
 
-	// Execution mode, fixed at the first Step/Run (see ensureMode):
-	// program non-nil selects the sharded parallel pipeline.
-	modeSet bool
-	exec    *shard.Executor
-	program []shard.Stage
-	stop    func() bool
+	// Event-driven work tracking (see DESIGN.md "Event-driven idle
+	// skipping"): work[id] counts node id's buffered packets, in-flight
+	// transmissions, and pending cooldowns; active masks the nodes where
+	// it is nonzero.
+	work   []int
+	active []uint64
 }
 
 // Network is driven through the shared engine interface by the
@@ -320,45 +259,14 @@ func New(cfg Config) (*Network, error) {
 		net.portBase[id] = base
 		base += p
 	}
-	net.part = shard.NewPartition(len(cfg.Topology.Ports), cfg.Shards)
-	for k := 0; k < net.part.Shards(); k++ {
-		lo, hi := net.part.Range(k)
-		net.sh = append(net.sh, &netShard{
-			idx:       k,
-			lo:        lo,
-			hi:        hi,
-			work:      make([]int, hi-lo),
-			active:    make([]uint64, arb.MaskWords(hi-lo)),
-			outbox:    make([][]haloCommit, net.part.Shards()),
-			delivered: make([]*noc.Packet, 0, hi-lo),
-		})
-	}
-	// Size each shard's transmission pool to its nodes' total ports and
-	// shard the terminals by attachment node, preserving ascending
-	// terminal order within each shard (terminals on one node always
-	// share a shard, so the shard-grouped admission walk keeps their
-	// relative order).
+	nodes := len(cfg.Topology.Ports)
+	net.sources = fabric.NewSources(len(cfg.Topology.Terminals))
+	net.txPool.Preload(totalPorts)
+	net.work = make([]int, nodes)
+	net.active = make([]uint64, arb.MaskWords(nodes))
 	for id, ports := range cfg.Topology.Ports {
-		net.sh[net.part.Of(id)].txPool.Preload(ports)
-	}
-	net.termShard = make([]int, len(cfg.Topology.Terminals))
-	net.termGroup = make([]int, len(cfg.Topology.Terminals))
-	counts := make([]int, net.part.Shards())
-	for t, at := range cfg.Topology.Terminals {
-		k := net.part.Of(at.Node)
-		net.termShard[t] = k
-		net.termGroup[t] = counts[k]
-		counts[k]++
-	}
-	for k, sh := range net.sh {
-		sh.sources = fabric.NewSources(counts[k])
-	}
-	for id, ports := range cfg.Topology.Ports {
-		sh := net.sh[net.part.Of(id)]
 		n := &node{
 			id:       id,
-			sh:       sh,
-			li:       id - sh.lo,
 			in:       make([]*fabric.Buffer, ports),
 			out:      make([]*fabric.Transmission, ports),
 			cooldown: make([]bool, ports),
@@ -381,24 +289,21 @@ func New(cfg Config) (*Network, error) {
 // recomputeActive rebuilds the work counts and activity masks from first
 // principles after fault handling has flushed state wholesale. Cold path.
 func (n *Network) recomputeActive() {
-	for _, sh := range n.sh {
-		arb.MaskZero(sh.active)
-		for li := 0; li < sh.hi-sh.lo; li++ {
-			nd := n.nodes[sh.lo+li]
-			c := 0
-			for port := range nd.in {
-				c += nd.in[port].Len()
-				if nd.out[port] != nil {
-					c++
-				}
-				if nd.cooldown[port] {
-					c++
-				}
+	arb.MaskZero(n.active)
+	for _, nd := range n.nodes {
+		c := 0
+		for port := range nd.in {
+			c += nd.in[port].Len()
+			if nd.out[port] != nil {
+				c++
 			}
-			sh.work[li] = c
-			if c > 0 {
-				arb.MaskSet(sh.active, li)
+			if nd.cooldown[port] {
+				c++
 			}
+		}
+		n.work[nd.id] = c
+		if c > 0 {
+			arb.MaskSet(n.active, nd.id)
 		}
 	}
 }
@@ -456,8 +361,7 @@ func (n *Network) PortBase(node int) int { return n.portBase[node] }
 func (n *Network) Now() noc.Cycle { return n.now }
 
 // AddFlow attaches a flow between terminals (Spec.Src/Dst are terminal
-// IDs). Flows sharing a source terminal share one injection group, in
-// the shard owning the terminal's attachment node.
+// IDs). Flows sharing a source terminal share one injection group.
 func (n *Network) AddFlow(f traffic.Flow) error {
 	if f.Spec.Src < 0 || f.Spec.Src >= n.Terminals() || f.Spec.Dst < 0 || f.Spec.Dst >= n.Terminals() {
 		return fmt.Errorf("compose: flow %d->%d outside %d terminals", f.Spec.Src, f.Spec.Dst, n.Terminals())
@@ -468,83 +372,14 @@ func (n *Network) AddFlow(f traffic.Flow) error {
 	if f.Gen == nil {
 		return fmt.Errorf("compose: flow %d->%d has no generator", f.Spec.Src, f.Spec.Dst)
 	}
-	n.sh[n.termShard[f.Spec.Src]].sources.Add(f, n.termGroup[f.Spec.Src])
+	n.sources.Add(f, f.Spec.Src)
 	return nil
 }
-
-// ParallelActive reports whether the network runs the sharded parallel
-// pipeline (meaningful after the first Step or Run). Fault-injected
-// runs always take the serial walk, whatever the shard count.
-func (n *Network) ParallelActive() bool { return n.program != nil }
-
-// ensureMode picks the execution mode on the first cycle, once the
-// fault schedule (the one post-New input to the decision) is final.
-//
-// Injection, transfers, and arbiter ticks partition cleanly by node;
-// completed hops crossing a shard boundary travel as halo events
-// applied at the serial commit stage. Arbitration does NOT partition:
-// a grant reserves downstream buffer space that later nodes' same-cycle
-// arbitrations must see (the ascending-node credit coupling of virtual
-// cut-through), so arbitration runs inside the serial commit stage in
-// the exact legacy order. Fault injection couples everything (wholesale
-// flushes, cross-node NACKs), so fault runs keep the serial walk.
-func (n *Network) ensureMode() {
-	if n.modeSet {
-		return
-	}
-	n.modeSet = true
-	if len(n.sh) <= 1 || n.faults != nil {
-		return
-	}
-	n.exec = shard.NewExecutor(len(n.sh), n.cfg.ShardWorkers)
-	n.stop = n.stopped
-	n.program = []shard.Stage{
-		{Serial: n.generateSharded},
-		{Par: n.injectShard},
-		{Par: n.transferShard},
-		{Serial: n.commitSharded},
-		{Par: n.tickShard},
-		{Serial: n.advanceCycle},
-	}
-}
-
-// stopped is the executor's cycle-boundary early exit: a pure read of
-// the freeze flag, which only the serial commit stage writes.
-func (n *Network) stopped() bool { return n.err != nil }
 
 // Step advances one cycle. After a terminal error, Step is a no-op.
 //
 //ssvc:hotpath
 func (n *Network) Step() {
-	n.ensureMode()
-	if n.program != nil {
-		n.exec.Cycles(1, n.program, n.stop)
-		return
-	}
-	n.stepSerial()
-}
-
-// Run advances the given number of cycles, stopping early if the engine
-// fails sick.
-func (n *Network) Run(cycles noc.Cycle) {
-	n.ensureMode()
-	if n.program != nil {
-		n.exec.Cycles(cycles, n.program, n.stop)
-		return
-	}
-	for i := noc.Cycle(0); i < cycles; i++ {
-		if n.err != nil {
-			return
-		}
-		n.stepSerial()
-	}
-}
-
-// stepSerial is the legacy single-walk cycle, used at one shard and for
-// every fault-injected run.
-//
-//ssvc:hotpath
-func (n *Network) stepSerial() {
 	if n.err != nil {
 		return
 	}
@@ -568,155 +403,13 @@ func (n *Network) stepSerial() {
 	n.now++
 }
 
-// generateSharded is the parallel pipeline's serial generation stage:
-// packet IDs come from a Sequence shared across shards, so emission
-// stays on one goroutine, walking shards in ascending order.
-func (n *Network) generateSharded() {
-	now := n.now
-	for _, sh := range n.sh {
-		n.Injected += sh.sources.Generate(now)
+// Run advances the given number of cycles, stopping early if the engine
+// fails sick.
+func (n *Network) Run(cycles noc.Cycle) {
+	for i := noc.Cycle(0); i < cycles && n.err == nil; i++ {
+		n.Step()
 	}
 }
-
-// injectShard admits shard k's terminal queues into its nodes'
-// attachment ports; everything it touches — sources, buffers, work
-// masks, counter deltas — belongs to shard k.
-//
-//ssvc:hotpath
-func (n *Network) injectShard(k int) {
-	sh := n.sh[k]
-	now := n.now
-	try := func(p *noc.Packet) bool {
-		at := n.cfg.Topology.Terminals[p.Src]
-		nd := n.nodes[at.Node]
-		if !nd.in[at.Port].Admit(p) {
-			return false
-		}
-		p.EnqueuedAt = now
-		sh.ctr.Admitted++
-		nd.sh.addWork(nd.li)
-		return true
-	}
-	visited := 0
-	for w, mm := range sh.sources.NonEmptyMask() {
-		for mm != 0 {
-			term := w<<6 + bits.TrailingZeros64(mm)
-			mm &= mm - 1
-			sh.sources.AdmitGroup(term, try)
-			visited++
-		}
-	}
-	sh.ctr.SkippedAdmits += uint64(sh.sources.Groups() - visited)
-}
-
-// transferShard advances shard k's busy output channels one flit.
-// Completions landing in the same shard commit immediately (exactly the
-// serial walk's behaviour); completions crossing a shard boundary are
-// queued as halo events for the commit stage, and terminal ejections
-// are queued for delivery there — the observer hooks must fire on one
-// goroutine in ascending node order.
-//
-//ssvc:hotpath
-func (n *Network) transferShard(k int) {
-	sh := n.sh[k]
-	now := n.now
-	for w, mm := range sh.active {
-		for mm != 0 {
-			li := w<<6 + bits.TrailingZeros64(mm)
-			mm &= mm - 1
-			n.transferNodePar(sh, n.nodes[sh.lo+li], now)
-		}
-	}
-}
-
-// transferNodePar is transferNode for the parallel pipeline: no fault
-// paths (fault runs are serial), per-shard counters, deferred
-// cross-shard commits and deliveries.
-//
-//ssvc:hotpath
-func (n *Network) transferNodePar(sh *netShard, nd *node, now noc.Cycle) {
-	for port := range nd.out {
-		tx := nd.out[port]
-		if tx == nil {
-			continue
-		}
-		sh.ctr.DataCycles++
-		tx.Remaining--
-		if tx.Remaining > 0 {
-			continue
-		}
-		// Channel teardown swaps the transmission work item for the
-		// cooldown one, so nd's work count is unchanged here.
-		pkt, from := tx.Pkt, tx.Input
-		nd.inBusy[from] = false
-		nd.out[port] = nil
-		nd.cooldown[port] = true
-		sh.txPool.Put(tx)
-		if nd.hasNext[port] {
-			next := nd.next[port]
-			dst := n.nodes[next.Node]
-			if dst.sh == sh {
-				dst.in[next.Port].Commit(pkt)
-				sh.addWork(dst.li)
-			} else {
-				sh.outbox[dst.sh.idx] = append(sh.outbox[dst.sh.idx],
-					haloCommit{nd: dst, port: next.Port, pkt: pkt})
-			}
-			continue
-		}
-		// No link: this port is a terminal ejection.
-		pkt.DeliveredAt = now
-		sh.ctr.Delivered++
-		sh.delivered = append(sh.delivered, pkt)
-	}
-}
-
-// commitSharded is the cycle's serial stage: boundary commits merge in
-// ascending shard order (each linked input port has a single upstream
-// link, so at most one commit per buffer per cycle — the merge order is
-// fixed for determinism, not contention), deliveries fire in ascending
-// node order, per-shard counter deltas fold into the engine-level
-// block, and then arbitration runs its legacy serial walk (see
-// ensureMode for why it cannot partition).
-//
-//ssvc:hotpath
-func (n *Network) commitSharded() {
-	for k := range n.sh {
-		for j := range n.sh {
-			box := n.sh[j].outbox[k]
-			for _, h := range box {
-				h.nd.in[h.port].Commit(h.pkt)
-				h.nd.sh.addWork(h.nd.li)
-			}
-			n.sh[j].outbox[k] = box[:0]
-		}
-	}
-	for _, sh := range n.sh {
-		for _, p := range sh.delivered {
-			n.Deliver(p)
-		}
-		sh.delivered = sh.delivered[:0]
-		n.Counters.Add(sh.ctr)
-		sh.ctr = fabric.Counters{}
-	}
-	n.arbitrate(n.now)
-}
-
-// tickShard advances shard k's arbiters' clocks.
-//
-//ssvc:hotpath
-func (n *Network) tickShard(k int) {
-	sh := n.sh[k]
-	now := n.now
-	for i := sh.lo; i < sh.hi; i++ {
-		for _, a := range n.nodes[i].arbs {
-			a.Tick(now)
-		}
-	}
-}
-
-// advanceCycle closes the cycle.
-func (n *Network) advanceCycle() { n.now++ }
 
 // dropPkt counts and releases a packet discarded by a fault.
 func (n *Network) dropPkt(p *noc.Packet) {
@@ -764,7 +457,7 @@ func (n *Network) abortTx(nd *node, out int) {
 	pkt, from := tx.Pkt, tx.Input
 	nd.inBusy[from] = false
 	nd.out[out] = nil
-	nd.sh.txPool.Put(tx)
+	n.txPool.Put(tx)
 	if nd.hasNext[out] {
 		next := nd.next[out]
 		n.nodes[next.Node].in[next.Port].Unreserve(pkt.Length)
@@ -774,16 +467,11 @@ func (n *Network) abortTx(nd *node, out int) {
 
 // inject lets every generator emit, then admits at most one packet per
 // terminal per cycle, rotating across the terminal's flows so that
-// co-located flows share the injection port fairly. Terminals on
-// different nodes inject into disjoint buffers and terminals on one
-// node share a shard in ascending order, so the shard-grouped walk is
-// equivalent to the flat one.
+// co-located flows share the injection port fairly.
 //
 //ssvc:hotpath
 func (n *Network) inject(now noc.Cycle) {
-	for _, sh := range n.sh {
-		n.Injected += sh.sources.Generate(now)
-	}
+	n.Injected += n.sources.Generate(now)
 	try := func(p *noc.Packet) bool {
 		// A fail-stopped terminal generates into a dead attachment port:
 		// accept and discard so the source queue cannot grow unbounded.
@@ -798,33 +486,28 @@ func (n *Network) inject(now noc.Cycle) {
 		}
 		p.EnqueuedAt = now
 		n.Admitted++
-		nd.sh.addWork(nd.li)
+		n.addWork(nd)
 		return true
 	}
 	if n.faults != nil {
-		for _, sh := range n.sh {
-			for term := 0; term < sh.sources.Groups(); term++ {
-				sh.sources.AdmitGroup(term, try)
-			}
+		for term := 0; term < n.sources.Groups(); term++ {
+			n.sources.AdmitGroup(term, try)
 		}
 		return
 	}
 	// Fault-free fast path: an empty-queue terminal cannot admit, so only
 	// scan terminals the sources layer marked nonempty. Pops clear bits
 	// in place; the per-word snapshot keeps this cycle's scan set fixed.
-	visited, groups := 0, 0
-	for _, sh := range n.sh {
-		groups += sh.sources.Groups()
-		for w, mm := range sh.sources.NonEmptyMask() {
-			for mm != 0 {
-				term := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				sh.sources.AdmitGroup(term, try)
-				visited++
-			}
+	visited := 0
+	for w, mm := range n.sources.NonEmptyMask() {
+		for mm != 0 {
+			term := w<<6 + bits.TrailingZeros64(mm)
+			mm &= mm - 1
+			n.sources.AdmitGroup(term, try)
+			visited++
 		}
 	}
-	n.SkippedAdmits += uint64(groups - visited)
+	n.SkippedAdmits += uint64(n.sources.Groups() - visited)
 }
 
 //ssvc:hotpath
@@ -841,13 +524,11 @@ func (n *Network) transfer(now noc.Cycle) {
 	// a downstream node may set its bit mid-walk; the full walk would
 	// find that node transfer-idle too (a committed packet is not a
 	// transmission), so visiting or skipping it is equivalent.
-	for _, sh := range n.sh {
-		for w, mm := range sh.active {
-			for mm != 0 {
-				li := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				n.transferNode(n.nodes[sh.lo+li], now)
-			}
+	for w, mm := range n.active {
+		for mm != 0 {
+			id := w<<6 + bits.TrailingZeros64(mm)
+			mm &= mm - 1
+			n.transferNode(n.nodes[id], now)
 		}
 	}
 }
@@ -875,7 +556,7 @@ func (n *Network) transferNode(nd *node, now noc.Cycle) {
 		nd.inBusy[from] = false
 		nd.out[port] = nil
 		nd.cooldown[port] = true
-		nd.sh.txPool.Put(tx)
+		n.txPool.Put(tx)
 		// Receiver-side modeled CRC check (see internal/faults): a
 		// corrupted hop is NACKed back to the upstream queue head
 		// (reservation released) or dropped once out of retries.
@@ -886,7 +567,7 @@ func (n *Network) transferNode(nd *node, now noc.Cycle) {
 			}
 			if n.faults.Retry(now, pkt) {
 				nd.in[from].PushFront(pkt)
-				nd.sh.addWork(nd.li)
+				n.addWork(nd)
 			} else {
 				n.dropPkt(pkt)
 			}
@@ -896,7 +577,7 @@ func (n *Network) transferNode(nd *node, now noc.Cycle) {
 			next := nd.next[port]
 			dst := n.nodes[next.Node]
 			dst.in[next.Port].Commit(pkt)
-			dst.sh.addWork(dst.li)
+			n.addWork(dst)
 			continue
 		}
 		// No link: this port is a terminal ejection.
@@ -924,18 +605,16 @@ func (n *Network) arbitrate(now noc.Cycle) {
 	// arbitration never pushes packets, so no bit sets mid-walk; clears
 	// only affect the node being visited.
 	visitedPorts := 0
-	for _, sh := range n.sh {
-		for w, mm := range sh.active {
-			for mm != 0 {
-				li := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				if n.err != nil {
-					return
-				}
-				nd := n.nodes[sh.lo+li]
-				n.arbitrateNode(nd, now)
-				visitedPorts += len(nd.out)
+	for w, mm := range n.active {
+		for mm != 0 {
+			id := w<<6 + bits.TrailingZeros64(mm)
+			mm &= mm - 1
+			if n.err != nil {
+				return
 			}
+			nd := n.nodes[id]
+			n.arbitrateNode(nd, now)
+			visitedPorts += len(nd.out)
 		}
 	}
 	if n.err == nil {
@@ -969,7 +648,7 @@ func (n *Network) arbitrateNode(nd *node, now noc.Cycle) {
 			// The static route dead-ends here: discard so upstream
 			// buffers keep draining toward the fault point.
 			n.dropPkt(nd.in[port].Pop())
-			nd.sh.subWork(nd.li)
+			n.subWork(nd)
 			continue
 		}
 		heads[port] = p
@@ -984,7 +663,7 @@ func (n *Network) arbitrateNode(nd *node, now noc.Cycle) {
 		}
 		if nd.cooldown[out] {
 			nd.cooldown[out] = false
-			nd.sh.subWork(nd.li)
+			n.subWork(nd)
 			continue
 		}
 		reqs := n.arbReqs[:0]
@@ -1031,7 +710,7 @@ func (n *Network) arbitrateNode(nd *node, now noc.Cycle) {
 		// The granted head leaves the buffer but becomes an in-flight
 		// transmission, so nd's work count is unchanged.
 		nd.inBusy[req.Input] = true
-		nd.out[out] = nd.sh.txPool.Get(p, req.Input)
+		nd.out[out] = n.txPool.Get(p, req.Input)
 		nd.arbs[out].Granted(now, req)
 	}
 }

@@ -8,14 +8,10 @@ import (
 	"swizzleqos/internal/noc"
 )
 
-// ReplayOptions parameterize journal replay. Shards/ShardWorkers
-// override the execution mechanism (results are bit-identical at any
-// value); OnDeliver observes every re-executed delivery, e.g. to write
-// a trace file.
+// ReplayOptions parameterize journal replay. OnDeliver observes every
+// re-executed delivery, e.g. to write a trace file.
 type ReplayOptions struct {
-	Shards       int
-	ShardWorkers int
-	OnDeliver    func(*noc.Packet)
+	OnDeliver func(*noc.Packet)
 }
 
 // Rebuild re-executes a journal from genesis: the header record
@@ -42,10 +38,7 @@ func Rebuild(recs []Record, ro ReplayOptions) (*Plane, error) {
 	if hdr.Header.Version != JournalVersion {
 		return nil, fmt.Errorf("ctlplane: journal format version %d, this build reads %d", hdr.Header.Version, JournalVersion)
 	}
-	cfg := hdr.Header.Sim
-	cfg.Shards = ro.Shards
-	cfg.ShardWorkers = ro.ShardWorkers
-	p, err := New(cfg)
+	p, err := New(hdr.Header.Sim)
 	if err != nil {
 		return nil, err
 	}

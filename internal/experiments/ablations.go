@@ -62,7 +62,7 @@ func chainingRun(sc *sweepScratch, packetLen int, chaining bool, o Options) chai
 		cfg.GBBufferFlits = 2 * packetLen
 	}
 	var b build
-	sw := b.sw(o, cfg, func(int) arb.Arbiter { return arb.NewLRG(fig4Radix) })
+	sw := b.sw(cfg, func(int) arb.Arbiter { return arb.NewLRG(fig4Radix) })
 	var seq traffic.Sequence
 	for i := 0; i < fig4Radix; i++ {
 		spec := noc.FlowSpec{Src: i, Dst: 0, Class: noc.BestEffort, PacketLength: packetLen}
@@ -111,7 +111,7 @@ func AblationFixedPriority(o Options) []FixedPriorityOutcome {
 	}
 	run := func(name string, factory func(int) arb.Arbiter) FixedPriorityOutcome {
 		var b build
-		sw := b.sw(o, fig4Config(), factory)
+		sw := b.sw(fig4Config(), factory)
 		var seq traffic.Sequence
 		for _, s := range specs {
 			b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
@@ -180,7 +180,7 @@ func AblationStaticSchedulers(o Options) []StaticOutcome {
 	capacity := float64(packetLen) / float64(packetLen+1)
 	run := func(sc *sweepScratch, name string, factory func(int) arb.Arbiter) StaticOutcome {
 		var b build
-		sw := b.sw(o, fig4Config(), factory)
+		sw := b.sw(fig4Config(), factory)
 		var seq traffic.Sequence
 		// Only the even inputs offer traffic.
 		for i := 0; i < fig4Radix; i += 2 {
@@ -243,7 +243,7 @@ func AblationSigBits(o Options) []SigBitsOutcome {
 		func(sc *sweepScratch, idx int) SigBitsOutcome {
 			sig := idx + 1
 			var b build
-			sw := b.sw(o, fig4Config(), ssvcFactory(fig4Radix, sig, 0, specs))
+			sw := b.sw(fig4Config(), ssvcFactory(fig4Radix, sig, 0, specs))
 			var seq traffic.Sequence
 			for _, s := range specs {
 				b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})

@@ -32,7 +32,7 @@ type CtlPlaneOutcome struct {
 }
 
 // ctlPlaneSchedule lays the command churn out at fixed fractions of the
-// run so short sharded runs and full-length goldens exercise the same
+// run so short runs and full-length goldens exercise the same
 // story: long-lived reservations first, then a doomed over-budget add,
 // a leased add that expires mid-run, a closed-loop add, a resize, the
 // budget shrink that splits the two policies, a second leased add, and
@@ -70,8 +70,8 @@ func ctlPlaneSchedule(o Options) ([]ctlplane.Scheduled, error) {
 // policy. Everything — admissions, rejections, lease expirations, the
 // shrink response — flows through the live control plane
 // (internal/ctlplane), and the delivery-trace hash pins the whole
-// simulation bit-for-bit: the table is byte-identical at any worker or
-// shard count.
+// simulation bit-for-bit: the table is byte-identical at any worker
+// count.
 func CtlPlane(o Options) []CtlPlaneOutcome {
 	o = o.withDefaults()
 	policies := []struct {
@@ -105,8 +105,6 @@ func ctlPlaneRun(name string, degrade bool, o Options) CtlPlaneOutcome {
 		GLShare:       0.05,
 		Degrade:       degrade,
 		Seed:          o.Seed,
-		Shards:        o.Shards,
-		ShardWorkers:  o.shardWorkers(),
 	})
 	if err != nil {
 		out.Err = fmt.Errorf("experiments: %w", err)

@@ -33,29 +33,6 @@ type Options struct {
 	// collector from (Seed, point index) alone, so rendered tables are
 	// byte-identical at any worker count (see internal/runner).
 	Workers int
-	// Shards partitions every engine an experiment builds into
-	// conservative-PDES shards (see internal/shard and DESIGN.md
-	// "Sharded execution"). Values <= 1 select the serial walk. Results
-	// are bit-identical at every shard count, so rendered tables never
-	// depend on it.
-	Shards int
-	// ShardWorkers bounds each engine's intra-run worker goroutines.
-	// 0 composes Workers and Shards against GOMAXPROCS so sweep-level
-	// and intra-run parallelism never oversubscribe the host (see
-	// runner.Compose); explicit values override that split. Worker
-	// counts are pure mechanism and never change results.
-	ShardWorkers int
-}
-
-// split resolves the sweep-level and intra-run worker bounds against
-// the host processor count (runner.Compose), honouring explicit
-// overrides.
-func (o Options) split() (sweepWorkers, shardWorkers int) {
-	sweepWorkers, shardWorkers = runner.Compose(0, o.Workers, o.Shards)
-	if o.ShardWorkers > 0 {
-		shardWorkers = o.ShardWorkers
-	}
-	return sweepWorkers, shardWorkers
 }
 
 // Quick returns options for a fast, reduced-accuracy run.
@@ -162,22 +139,13 @@ func (b *build) fail(err error) {
 }
 
 // sw constructs a crossbar, recording any error; on a prior or current
-// failure the returned switch may be nil and must not be driven. The
-// options' shard split is applied here, the single funnel every
-// switch-building experiment passes through.
-func (b *build) sw(o Options, cfg switchsim.Config, f func(int) arb.Arbiter) *switchsim.Switch {
+// failure the returned switch may be nil and must not be driven.
+func (b *build) sw(cfg switchsim.Config, f func(int) arb.Arbiter) *switchsim.Switch {
 	if b.err != nil {
 		return nil
 	}
-	cfg.Shards, cfg.ShardWorkers = o.Shards, o.shardWorkers()
 	sw, err := switchsim.New(cfg, f)
 	b.fail(err)
-	return sw
-}
-
-// shardWorkers resolves the per-engine worker bound (see split).
-func (o Options) shardWorkers() int {
-	_, sw := o.split()
 	return sw
 }
 
@@ -191,12 +159,8 @@ func (b *build) add(e fabric.Engine, f traffic.Flow) {
 }
 
 // pool returns the worker pool the options select for fanning
-// independent sweep points, shrunk when intra-run sharding claims part
-// of the processor budget (see split).
-func (o Options) pool() *runner.Pool {
-	sweepWorkers, _ := o.split()
-	return runner.New(sweepWorkers)
-}
+// independent sweep points.
+func (o Options) pool() *runner.Pool { return runner.New(o.Workers) }
 
 // engineErr surfaces a sick engine's terminal error: engines freeze
 // with an error instead of panicking on internal invariant violations

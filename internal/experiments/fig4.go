@@ -74,7 +74,7 @@ func fig4Point(sc *sweepScratch, qos bool, inj float64, o Options) Fig4Point {
 		factory = func(int) arb.Arbiter { return arb.NewLRG(fig4Radix) }
 	}
 	var b build
-	sw := b.sw(o, fig4Config(), factory)
+	sw := b.sw(fig4Config(), factory)
 	var seq traffic.Sequence
 	for i, s := range specs {
 		gen := traffic.NewBernoulli(&seq, s, inj, o.Seed+uint64(i)*7919)

@@ -101,7 +101,7 @@ func fig5Run(sc *sweepScratch, policy string, o Options) fig5Curve {
 			err: fmt.Errorf("experiments: unknown Figure 5 policy %q", policy)}
 	}
 	var b build
-	sw := b.sw(o, fig4Config(), factory)
+	sw := b.sw(fig4Config(), factory)
 	var seq traffic.Sequence
 	for _, s := range specs {
 		b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})

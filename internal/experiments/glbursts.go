@@ -95,7 +95,7 @@ func GLBursts(o Options) GLBurstsResult {
 	cfg := fig4Config()
 	cfg.GLBufferFlits = bufFlits
 	var b build
-	sw := b.sw(o, cfg, factory)
+	sw := b.sw(cfg, factory)
 
 	var seq traffic.Sequence
 	for _, s := range gbSpecs[nGL:] {

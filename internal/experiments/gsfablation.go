@@ -48,7 +48,7 @@ func AblationGSF(o Options) []GSFOutcome {
 	run := func(name string, cfg switchsim.Config, factory func(int) arb.Arbiter,
 		ctl *gsf.Controller) GSFOutcome {
 		var b build
-		sw := b.sw(o, cfg, factory)
+		sw := b.sw(cfg, factory)
 		var seq traffic.Sequence
 		for _, s := range specs {
 			b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})

@@ -52,7 +52,7 @@ func IdleSkip(o Options) []IdleSkipRow {
 			vticks[i] = noc.FlowSpec{Rate: 0.2, PacketLength: 4}.Vtick()
 		}
 		var b build
-		sw := b.sw(o, switchsim.Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16},
+		sw := b.sw(switchsim.Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16},
 			func(int) arb.Arbiter {
 				return core.NewSSVC(core.Config{
 					Radix: radix, CounterBits: 12, SigBits: 4,
@@ -75,8 +75,7 @@ func IdleSkip(o Options) []IdleSkipRow {
 	// 8x8 mesh, one low-rate GB flow per node.
 	{
 		const w, h = 8, 8
-		m, err := mesh.New(mesh.Config{Width: w, Height: h, BufferFlits: 16,
-			Shards: o.Shards, ShardWorkers: o.shardWorkers()})
+		m, err := mesh.New(mesh.Config{Width: w, Height: h, BufferFlits: 16})
 		if err == nil {
 			var seq traffic.Sequence
 			nodes := w * h
@@ -106,8 +105,7 @@ func IdleSkip(o Options) []IdleSkipRow {
 		topo, err := compose.TwoLevelClos(4, 4, 2)
 		var net *compose.Network
 		if err == nil {
-			net, err = compose.New(compose.Config{Topology: topo, BufferFlits: 16,
-				Shards: o.Shards, ShardWorkers: o.shardWorkers()})
+			net, err = compose.New(compose.Config{Topology: topo, BufferFlits: 16})
 		}
 		ports := 0
 		for _, p := range topo.Ports {

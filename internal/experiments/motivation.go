@@ -94,7 +94,7 @@ func Motivation(o Options) []MotivationOutcome {
 	swizzleRun := func() MotivationOutcome {
 		flows := specs()
 		var b build
-		sw := b.sw(o, switchsim.Config{
+		sw := b.sw(switchsim.Config{
 			Radix:         nodes,
 			BEBufferFlits: fig4BufFlits,
 			GLBufferFlits: fig4BufFlits,
@@ -114,8 +114,7 @@ func Motivation(o Options) []MotivationOutcome {
 	// 4x4 mesh variants.
 	meshRun := func(name string, newArb func() arb.Arbiter) MotivationOutcome {
 		var b build
-		m, err := mesh.New(mesh.Config{Width: 4, Height: 4, BufferFlits: fig4BufFlits, NewArbiter: newArb,
-			Shards: o.Shards, ShardWorkers: o.shardWorkers()})
+		m, err := mesh.New(mesh.Config{Width: 4, Height: 4, BufferFlits: fig4BufFlits, NewArbiter: newArb})
 		b.fail(err)
 		var seq traffic.Sequence
 		for _, s := range specs() {

@@ -93,7 +93,7 @@ func Scale64(o Options) ScaleResult {
 		})
 	}
 	var b build
-	sw := b.sw(o, switchsim.Config{
+	sw := b.sw(switchsim.Config{
 		Radix:         radix,
 		BEBufferFlits: fig4BufFlits,
 		GLBufferFlits: glBuf,

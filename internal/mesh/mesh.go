@@ -23,7 +23,6 @@ import (
 	"swizzleqos/internal/fabric"
 	"swizzleqos/internal/faults"
 	"swizzleqos/internal/noc"
-	"swizzleqos/internal/shard"
 	"swizzleqos/internal/traffic"
 )
 
@@ -66,20 +65,8 @@ type Config struct {
 	BufferFlits int
 	// NewArbiter builds one arbiter per router output port over the
 	// five input ports; nil defaults to LRG. Every call must return an
-	// independent instance: arbiters tick concurrently under sharding.
+	// independent instance.
 	NewArbiter func() arb.Arbiter
-
-	// Shards partitions the routers into contiguous node regions
-	// simulated as conservative-PDES logical processes (see
-	// internal/shard and DESIGN.md "Sharded execution"). Values <= 1
-	// select the serial walk; results are bit-identical at every shard
-	// count. Fault-injected runs always take the serial walk.
-	Shards int
-	// ShardWorkers bounds the worker goroutines the sharded pipeline
-	// uses. 0 selects min(Shards, GOMAXPROCS); explicit values let
-	// tests force real barrier traffic on small hosts. The worker count
-	// is pure mechanism: it can never change simulation results.
-	ShardWorkers int
 }
 
 // Validate reports a descriptive error for malformed configurations.
@@ -99,10 +86,6 @@ func (c Config) Validate() error {
 type router struct {
 	id   int
 	x, y int
-	// sh is the shard owning this router; li is the router's local index
-	// within it (id - sh.lo).
-	sh   *meshShard //ssvc:owner
-	li   int
 	in   [numPorts]*fabric.Buffer
 	out  [numPorts]*fabric.Transmission
 	arbs [numPorts]arb.Arbiter
@@ -115,62 +98,22 @@ type router struct {
 	cooldown [numPorts]bool
 }
 
-// haloCommit is a completed hop crossing a shard boundary: the packet
-// enters the destination router's buffer at the cycle's serial commit
-// stage instead of during the owning shard's parallel transfer walk.
-type haloCommit struct {
-	r    *router
-	port Port
-	pkt  *noc.Packet
-}
-
-// meshShard is one contiguous router range [lo, hi) with everything its
-// parallel stages touch: its own injection sources, transmission pool,
-// counter deltas, and event-driven work masks, so no stage shares
-// mutable state across shards (the zero-allocation steady state then
-// holds per shard with no cross-shard pool traffic).
-type meshShard struct {
-	idx     int
-	lo, hi  int
-	sources *fabric.Sources
-	txPool  fabric.TxPool
-	// ctr accumulates this cycle's counter deltas from the parallel
-	// stages; the serial commit stage merges and zeroes it.
-	ctr fabric.Counters
-
-	// Event-driven work tracking (see DESIGN.md "Event-driven idle
-	// skipping"), over local router indices: work[li] counts router
-	// lo+li's buffered packets, in-flight transmissions, and pending
-	// cooldowns; active masks the routers where it is nonzero.
-	work   []int
-	active []uint64
-
-	// outbox[k] holds this shard's boundary commits into shard k this
-	// cycle; delivered holds this shard's locally ejected packets, in
-	// ascending router order. Both drain at the serial commit stage.
-	outbox    [][]haloCommit //ssvc:mailbox
-	delivered []*noc.Packet
-}
-
-// routers returns the shard's router count.
-func (sh *meshShard) routers() int { return sh.hi - sh.lo }
-
 // addWork records one more work item (buffered packet, transmission, or
-// cooldown) at local router li.
+// cooldown) at router r.
 //
 //ssvc:hotpath
-func (sh *meshShard) addWork(li int) {
-	if sh.work[li]++; sh.work[li] == 1 {
-		arb.MaskSet(sh.active, li)
+func (m *Mesh) addWork(r *router) {
+	if m.work[r.id]++; m.work[r.id] == 1 {
+		arb.MaskSet(m.active, r.id)
 	}
 }
 
-// subWork records a completed work item at local router li.
+// subWork records a completed work item at router r.
 //
 //ssvc:hotpath
-func (sh *meshShard) subWork(li int) {
-	if sh.work[li]--; sh.work[li] == 0 {
-		arb.MaskClear(sh.active, li)
+func (m *Mesh) subWork(r *router) {
+	if m.work[r.id]--; m.work[r.id] == 0 {
+		arb.MaskClear(m.active, r.id)
 	}
 }
 
@@ -184,22 +127,22 @@ type Mesh struct {
 	fabric.Hooks
 
 	cfg     Config
-	routers []*router //ssvc:owned-index
-	part    shard.Partition
-	sh      []*meshShard //ssvc:shards
+	routers []*router
+	sources *fabric.Sources // one injection group per flow, in AddFlow order
+	txPool  fabric.TxPool
 	now     noc.Cycle
 	err     error // terminal invariant violation; freezes the engine
 
 	faults *faults.Injector
 
-	arbReqs []arb.Request // scratch: requests handed to one arbitration
+	// Event-driven work tracking (see DESIGN.md "Event-driven idle
+	// skipping"): work[id] counts router id's buffered packets, in-flight
+	// transmissions, and pending cooldowns; active masks the routers where
+	// it is nonzero.
+	work   []int
+	active []uint64
 
-	// Execution mode, fixed at the first Step/Run (see ensureMode):
-	// program non-nil selects the sharded parallel pipeline.
-	modeSet bool
-	exec    *shard.Executor
-	program []shard.Stage
-	stop    func() bool
+	arbReqs []arb.Request // scratch: requests handed to one arbitration
 }
 
 // Mesh is driven through the shared engine interface by the experiments
@@ -215,32 +158,19 @@ func New(cfg Config) (*Mesh, error) {
 	if newArb == nil {
 		newArb = func() arb.Arbiter { return arb.NewLRG(int(numPorts)) }
 	}
+	nodes := cfg.Width * cfg.Height
 	m := &Mesh{
 		cfg:     cfg,
+		sources: fabric.NewSources(0),
+		work:    make([]int, nodes),
+		active:  make([]uint64, arb.MaskWords(nodes)),
 		arbReqs: make([]arb.Request, 0, numPorts),
 	}
-	nodes := cfg.Width * cfg.Height
-	m.part = shard.NewPartition(nodes, cfg.Shards)
-	for k := 0; k < m.part.Shards(); k++ {
-		lo, hi := m.part.Range(k)
-		sh := &meshShard{
-			idx:       k,
-			lo:        lo,
-			hi:        hi,
-			sources:   fabric.NewSources(0),
-			work:      make([]int, hi-lo),
-			active:    make([]uint64, arb.MaskWords(hi-lo)),
-			outbox:    make([][]haloCommit, m.part.Shards()),
-			delivered: make([]*noc.Packet, 0, hi-lo),
-		}
-		sh.txPool.Preload((hi - lo) * int(numPorts))
-		m.sh = append(m.sh, sh)
-	}
+	m.txPool.Preload(nodes * int(numPorts))
 	for y := 0; y < cfg.Height; y++ {
 		for x := 0; x < cfg.Width; x++ {
 			id := y*cfg.Width + x
-			sh := m.sh[m.part.Of(id)]
-			r := &router{id: id, x: x, y: y, sh: sh, li: id - sh.lo}
+			r := &router{id: id, x: x, y: y}
 			for p := Port(0); p < numPorts; p++ {
 				r.in[p] = fabric.NewBuffer(cfg.BufferFlits)
 				r.arbs[p] = newArb()
@@ -320,10 +250,7 @@ func abs(v int) int {
 
 // AddFlow attaches a flow; Src and Dst are node IDs. Every flow gets its
 // own injection group: the mesh's local ports admit one packet per flow
-// per cycle, not one per node. Flows live in the shard owning their
-// source node; flows sharing a source keep their AddFlow order, and
-// flows at different sources inject into disjoint buffers, so the
-// shard-grouped admission walk is equivalent to the flat one.
+// per cycle, not one per node.
 func (m *Mesh) AddFlow(f traffic.Flow) error {
 	if f.Spec.Src < 0 || f.Spec.Src >= m.Nodes() || f.Spec.Dst < 0 || f.Spec.Dst >= m.Nodes() {
 		return fmt.Errorf("mesh: flow %d->%d outside a %d-node mesh", f.Spec.Src, f.Spec.Dst, m.Nodes())
@@ -334,7 +261,7 @@ func (m *Mesh) AddFlow(f traffic.Flow) error {
 	if f.Gen == nil {
 		return fmt.Errorf("mesh: flow %d->%d has no generator", f.Spec.Src, f.Spec.Dst)
 	}
-	m.sh[m.part.Of(f.Spec.Src)].sources.AddOwnGroup(f)
+	m.sources.AddOwnGroup(f)
 	return nil
 }
 
@@ -393,81 +320,12 @@ func entryPort(out Port) Port {
 	return Local
 }
 
-// ParallelActive reports whether the mesh runs the sharded parallel
-// pipeline (meaningful after the first Step or Run). Fault-injected
-// runs always take the serial walk, whatever the shard count.
-func (m *Mesh) ParallelActive() bool { return m.program != nil }
-
-// ensureMode picks the execution mode on the first cycle, once the
-// fault schedule (the one post-New input to the decision) is final.
-//
-// Injection, transfers, and arbiter ticks partition cleanly by router;
-// completed hops crossing a shard boundary travel as halo events
-// applied at the serial commit stage. Arbitration does NOT partition:
-// a grant reserves downstream buffer space that later routers' same-
-// cycle arbitrations must see (the ascending-node credit coupling of
-// virtual cut-through), so arbitration runs inside the serial commit
-// stage in the exact legacy order. Fault injection couples everything
-// (wholesale flushes, cross-router NACKs), so fault runs keep the
-// serial walk.
-func (m *Mesh) ensureMode() {
-	if m.modeSet {
-		return
-	}
-	m.modeSet = true
-	if len(m.sh) <= 1 || m.faults != nil {
-		return
-	}
-	m.exec = shard.NewExecutor(len(m.sh), m.cfg.ShardWorkers)
-	m.stop = m.stopped
-	m.program = []shard.Stage{
-		{Serial: m.generateSharded},
-		{Par: m.injectShard},
-		{Par: m.transferShard},
-		{Serial: m.commitSharded},
-		{Par: m.tickShard},
-		{Serial: m.advanceCycle},
-	}
-}
-
-// stopped is the executor's cycle-boundary early exit: a pure read of
-// the freeze flag, which only the serial commit stage writes.
-func (m *Mesh) stopped() bool { return m.err != nil }
-
 // Step advances one cycle: fault scheduling, injection, in-flight
 // transfers, then per-output arbitration at every router. After a
 // terminal error, Step is a no-op.
 //
 //ssvc:hotpath
 func (m *Mesh) Step() {
-	m.ensureMode()
-	if m.program != nil {
-		m.exec.Cycles(1, m.program, m.stop)
-		return
-	}
-	m.stepSerial()
-}
-
-// Run advances n cycles, stopping early if the engine fails sick.
-func (m *Mesh) Run(n noc.Cycle) {
-	m.ensureMode()
-	if m.program != nil {
-		m.exec.Cycles(n, m.program, m.stop)
-		return
-	}
-	for i := noc.Cycle(0); i < n; i++ {
-		if m.err != nil {
-			return
-		}
-		m.stepSerial()
-	}
-}
-
-// stepSerial is the legacy single-walk cycle, used at one shard and for
-// every fault-injected run.
-//
-//ssvc:hotpath
-func (m *Mesh) stepSerial() {
 	if m.err != nil {
 		return
 	}
@@ -491,159 +349,16 @@ func (m *Mesh) stepSerial() {
 	m.now++
 }
 
-// generateSharded is the parallel pipeline's serial generation stage:
-// packet IDs come from a Sequence shared across shards, so emission
-// stays on one goroutine, walking shards in ascending order.
-func (m *Mesh) generateSharded() {
-	now := m.now
-	for _, sh := range m.sh {
-		m.Injected += sh.sources.Generate(now)
+// Run advances n cycles, stopping early if the engine fails sick.
+func (m *Mesh) Run(n noc.Cycle) {
+	for i := noc.Cycle(0); i < n && m.err == nil; i++ {
+		m.Step()
 	}
 }
-
-// injectShard admits shard k's source queues into its routers' local
-// ports; everything it touches — sources, buffers, work masks, counter
-// deltas — belongs to shard k.
-//
-//ssvc:hotpath
-func (m *Mesh) injectShard(k int) {
-	sh := m.sh[k]
-	now := m.now
-	try := func(p *noc.Packet) bool {
-		rt := m.routers[p.Src]
-		if !rt.in[Local].Admit(p) {
-			return false
-		}
-		p.EnqueuedAt = now
-		sh.ctr.Admitted++
-		rt.sh.addWork(rt.li)
-		return true
-	}
-	visited := 0
-	for w, mm := range sh.sources.NonEmptyMask() {
-		for mm != 0 {
-			g := w<<6 + bits.TrailingZeros64(mm)
-			mm &= mm - 1
-			sh.sources.AdmitGroup(g, try)
-			visited++
-		}
-	}
-	sh.ctr.SkippedAdmits += uint64(sh.sources.Groups() - visited)
-}
-
-// transferShard advances shard k's busy output channels one flit.
-// Completions landing in the same shard commit immediately (exactly the
-// serial walk's behaviour); completions crossing a shard boundary are
-// queued as halo events for the commit stage, and local ejections are
-// queued for delivery there — the observer hooks must fire on one
-// goroutine in ascending router order.
-//
-//ssvc:hotpath
-func (m *Mesh) transferShard(k int) {
-	sh := m.sh[k]
-	now := m.now
-	for w, mm := range sh.active {
-		for mm != 0 {
-			li := w<<6 + bits.TrailingZeros64(mm)
-			mm &= mm - 1
-			m.transferRouterPar(sh, m.routers[sh.lo+li], now)
-		}
-	}
-}
-
-// transferRouterPar is transferRouter for the parallel pipeline: no
-// fault paths (fault runs are serial), per-shard counters, deferred
-// cross-shard commits and deliveries.
-//
-//ssvc:hotpath
-func (m *Mesh) transferRouterPar(sh *meshShard, r *router, now noc.Cycle) {
-	for out := Port(0); out < numPorts; out++ {
-		tx := r.out[out]
-		if tx == nil {
-			continue
-		}
-		sh.ctr.DataCycles++
-		tx.Remaining--
-		if tx.Remaining > 0 {
-			continue
-		}
-		// Channel teardown swaps the transmission work item for the
-		// cooldown one, so r's work count is unchanged here.
-		pkt, from := tx.Pkt, Port(tx.Input)
-		r.inBusy[from] = false
-		r.out[out] = nil
-		r.cooldown[out] = true
-		sh.txPool.Put(tx)
-		if out == Local {
-			pkt.DeliveredAt = now
-			sh.ctr.Delivered++
-			sh.delivered = append(sh.delivered, pkt)
-			continue
-		}
-		next := m.neighbor(r, out)
-		if next.sh == sh {
-			next.in[entryPort(out)].Commit(pkt)
-			sh.addWork(next.li)
-		} else {
-			sh.outbox[next.sh.idx] = append(sh.outbox[next.sh.idx],
-				haloCommit{r: next, port: entryPort(out), pkt: pkt})
-		}
-	}
-}
-
-// commitSharded is the cycle's serial stage: boundary commits merge in
-// ascending shard order (each (router, entry port) buffer has a single
-// upstream link, so at most one commit per buffer per cycle — the merge
-// order is fixed for determinism, not contention), deliveries fire in
-// ascending router order, per-shard counter deltas fold into the
-// engine-level block, and then arbitration runs its legacy serial walk
-// (see ensureMode for why it cannot partition).
-//
-//ssvc:hotpath
-func (m *Mesh) commitSharded() {
-	for k := range m.sh {
-		for j := range m.sh {
-			box := m.sh[j].outbox[k]
-			for _, h := range box {
-				h.r.in[h.port].Commit(h.pkt)
-				h.r.sh.addWork(h.r.li)
-			}
-			m.sh[j].outbox[k] = box[:0]
-		}
-	}
-	for _, sh := range m.sh {
-		for _, p := range sh.delivered {
-			m.Deliver(p)
-		}
-		sh.delivered = sh.delivered[:0]
-		m.Counters.Add(sh.ctr)
-		sh.ctr = fabric.Counters{}
-	}
-	m.arbitrate(m.now)
-}
-
-// tickShard advances shard k's arbiters' clocks.
-//
-//ssvc:hotpath
-func (m *Mesh) tickShard(k int) {
-	sh := m.sh[k]
-	now := m.now
-	for i := sh.lo; i < sh.hi; i++ {
-		r := m.routers[i]
-		for p := Port(0); p < numPorts; p++ {
-			r.arbs[p].Tick(now)
-		}
-	}
-}
-
-// advanceCycle closes the cycle.
-func (m *Mesh) advanceCycle() { m.now++ }
 
 //ssvc:hotpath
 func (m *Mesh) inject(now noc.Cycle) {
-	for _, sh := range m.sh {
-		m.Injected += sh.sources.Generate(now)
-	}
+	m.Injected += m.sources.Generate(now)
 	try := func(p *noc.Packet) bool {
 		// A fail-stopped node generates into a dead local port: accept
 		// and discard so the source queue cannot grow without bound.
@@ -657,33 +372,28 @@ func (m *Mesh) inject(now noc.Cycle) {
 		}
 		p.EnqueuedAt = now
 		m.Admitted++
-		rt.sh.addWork(rt.li)
+		m.addWork(rt)
 		return true
 	}
 	if m.faults != nil {
-		for _, sh := range m.sh {
-			for g := 0; g < sh.sources.Groups(); g++ {
-				sh.sources.AdmitGroup(g, try)
-			}
+		for g := 0; g < m.sources.Groups(); g++ {
+			m.sources.AdmitGroup(g, try)
 		}
 		return
 	}
 	// Fault-free fast path: an empty-queue group cannot admit, so only
 	// scan groups the sources layer marked nonempty. Pops clear bits in
 	// place; the per-word snapshot keeps this cycle's scan set fixed.
-	visited, groups := 0, 0
-	for _, sh := range m.sh {
-		groups += sh.sources.Groups()
-		for w, mm := range sh.sources.NonEmptyMask() {
-			for mm != 0 {
-				g := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				sh.sources.AdmitGroup(g, try)
-				visited++
-			}
+	visited := 0
+	for w, mm := range m.sources.NonEmptyMask() {
+		for mm != 0 {
+			g := w<<6 + bits.TrailingZeros64(mm)
+			mm &= mm - 1
+			m.sources.AdmitGroup(g, try)
+			visited++
 		}
 	}
-	m.SkippedAdmits += uint64(groups - visited)
+	m.SkippedAdmits += uint64(m.sources.Groups() - visited)
 }
 
 // dropPkt counts and releases a packet discarded by a fault.
@@ -695,24 +405,21 @@ func (m *Mesh) dropPkt(p *noc.Packet) {
 // recomputeActive rebuilds the work counts and activity masks from first
 // principles after fault handling has flushed state wholesale. Cold path.
 func (m *Mesh) recomputeActive() {
-	for _, sh := range m.sh {
-		arb.MaskZero(sh.active)
-		for li := 0; li < sh.routers(); li++ {
-			r := m.routers[sh.lo+li]
-			n := 0
-			for p := Port(0); p < numPorts; p++ {
-				n += r.in[p].Len()
-				if r.out[p] != nil {
-					n++
-				}
-				if r.cooldown[p] {
-					n++
-				}
+	arb.MaskZero(m.active)
+	for _, r := range m.routers {
+		n := 0
+		for p := Port(0); p < numPorts; p++ {
+			n += r.in[p].Len()
+			if r.out[p] != nil {
+				n++
 			}
-			sh.work[li] = n
-			if n > 0 {
-				arb.MaskSet(sh.active, li)
+			if r.cooldown[p] {
+				n++
 			}
+		}
+		m.work[r.id] = n
+		if n > 0 {
+			arb.MaskSet(m.active, r.id)
 		}
 	}
 }
@@ -749,7 +456,7 @@ func (m *Mesh) abortTx(r *router, out Port) {
 	pkt := tx.Pkt
 	r.inBusy[tx.Input] = false
 	r.out[out] = nil
-	r.sh.txPool.Put(tx)
+	m.txPool.Put(tx)
 	if out != Local {
 		m.neighbor(r, out).in[entryPort(out)].Unreserve(pkt.Length)
 	}
@@ -778,13 +485,11 @@ func (m *Mesh) transfer(now noc.Cycle) {
 	// downstream router may set its bit mid-walk; the full walk would find
 	// that router transfer-idle too (a committed packet is not a
 	// transmission), so visiting or skipping it is equivalent.
-	for _, sh := range m.sh {
-		for w, mm := range sh.active {
-			for mm != 0 {
-				li := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				m.transferRouter(m.routers[sh.lo+li], now)
-			}
+	for w, mm := range m.active {
+		for mm != 0 {
+			id := w<<6 + bits.TrailingZeros64(mm)
+			mm &= mm - 1
+			m.transferRouter(m.routers[id], now)
 		}
 	}
 }
@@ -812,14 +517,14 @@ func (m *Mesh) transferRouter(r *router, now noc.Cycle) {
 		r.inBusy[from] = false
 		r.out[out] = nil
 		r.cooldown[out] = true
-		r.sh.txPool.Put(tx)
+		m.txPool.Put(tx)
 		if m.faults != nil && m.faults.CorruptArrival(pkt) {
 			if out != Local {
 				m.neighbor(r, out).in[entryPort(out)].Unreserve(pkt.Length)
 			}
 			if m.faults.Retry(now, pkt) {
 				r.in[from].PushFront(pkt)
-				r.sh.addWork(r.li)
+				m.addWork(r)
 			} else {
 				m.dropPkt(pkt)
 			}
@@ -833,7 +538,7 @@ func (m *Mesh) transferRouter(r *router, now noc.Cycle) {
 		}
 		next := m.neighbor(r, out)
 		next.in[entryPort(out)].Commit(pkt)
-		next.sh.addWork(next.li)
+		m.addWork(next)
 	}
 }
 
@@ -860,17 +565,15 @@ func (m *Mesh) arbitrate(now noc.Cycle) {
 	// arbitration never pushes packets, so no bit sets mid-walk; clears
 	// only affect the router being visited.
 	visited := 0
-	for _, sh := range m.sh {
-		for w, mm := range sh.active {
-			for mm != 0 {
-				li := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				if m.err != nil {
-					return
-				}
-				m.arbitrateRouter(m.routers[sh.lo+li], now)
-				visited++
+	for w, mm := range m.active {
+		for mm != 0 {
+			id := w<<6 + bits.TrailingZeros64(mm)
+			mm &= mm - 1
+			if m.err != nil {
+				return
 			}
+			m.arbitrateRouter(m.routers[id], now)
+			visited++
 		}
 	}
 	if m.err == nil {
@@ -903,7 +606,7 @@ func (m *Mesh) arbitrateRouter(r *router, now noc.Cycle) {
 		route := m.routeDir(r, p.Dst)
 		if m.faults != nil && m.faults.OutputDead(m.flatPort(r, route)) {
 			m.dropPkt(r.in[in].Pop())
-			r.sh.subWork(r.li)
+			m.subWork(r)
 			continue
 		}
 		heads[in] = p
@@ -918,7 +621,7 @@ func (m *Mesh) arbitrateRouter(r *router, now noc.Cycle) {
 		}
 		if r.cooldown[out] {
 			r.cooldown[out] = false
-			r.sh.subWork(r.li)
+			m.subWork(r)
 			continue
 		}
 		reqs := m.arbReqs[:0]
@@ -966,7 +669,7 @@ func (m *Mesh) arbitrateRouter(r *router, now noc.Cycle) {
 		// The granted head leaves the buffer but becomes an in-flight
 		// transmission, so r's work count is unchanged.
 		r.inBusy[in] = true
-		r.out[out] = r.sh.txPool.Get(p, int(in))
+		r.out[out] = m.txPool.Get(p, int(in))
 		r.arbs[out].Granted(now, req)
 	}
 }

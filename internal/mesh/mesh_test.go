@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"fmt"
 	"testing"
 
 	"swizzleqos/internal/arb"
@@ -250,42 +249,4 @@ func BenchmarkMeshCycleRecycled(b *testing.B) {
 	b.ResetTimer()
 	m.Run(noc.Cycle(b.N))
 	b.ReportMetric(float64(m.Delivered)/float64(m.Now()), "pkts/cycle")
-}
-
-// BenchmarkMeshCycleSharded measures the sharded pipeline (parallel
-// injection/transfer/tick around the serial arbitration commit) on a
-// saturated 8x8 mesh at increasing shard counts. ShardWorkers stays 0
-// so the executor clamps its team to GOMAXPROCS — on a single-core
-// host the sharded program runs inline and the number is the honest
-// cycles/sec for this machine (see BENCH_shard.json). Results are
-// bit-identical at every shard count; only wall-clock changes.
-func BenchmarkMeshCycleSharded(b *testing.B) {
-	const w, h = 8, 8
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			m, err := New(Config{Width: w, Height: h, BufferFlits: 16, Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var seq traffic.Sequence
-			nodes := w * h
-			for src := 0; src < nodes; src++ {
-				dst := (src + nodes/2 + 3) % nodes
-				spec := noc.FlowSpec{Src: src, Dst: dst, Class: noc.BestEffort, PacketLength: 4}
-				if err := m.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBacklogged(&seq, spec, 4)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			m.OnRelease(seq.Recycle)
-			// The 8x8 mesh's in-flight population (and so the packet
-			// pool's high-water mark) keeps growing past the 4x4 bench's
-			// 1000-cycle warmup; warm long enough that a short guarded
-			// run sees no late pool growth.
-			m.Run(5000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			m.Run(noc.Cycle(b.N))
-			b.ReportMetric(float64(m.Delivered)/float64(m.Now()), "pkts/cycle")
-		})
-	}
 }

@@ -140,43 +140,6 @@ func MapScratch[S, T any](p *Pool, n int, newScratch func() S, fn func(s S, i in
 	return results
 }
 
-// Compose splits a processor budget between sweep-level parallelism
-// (independent runs fanned across a Pool) and intra-run shard workers
-// (internal/shard executors inside each engine) so the two layers never
-// oversubscribe the host. budget <= 0 selects runtime.GOMAXPROCS(0).
-// workers is the requested sweep-worker count; <= 0 derives it as
-// budget/shards so the shard side gets its full complement. The
-// returned pair always satisfies sweepWorkers*shardWorkers <= budget
-// when workers was derived; an explicit workers value is respected
-// verbatim and the shard side yields instead.
-//
-// Neither count ever changes simulation results — sweep points are pure
-// functions of their index, and shard-worker counts are pure mechanism
-// (see internal/shard) — so Compose only shapes wall-clock time.
-func Compose(budget, workers, shards int) (sweepWorkers, shardWorkers int) {
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	sweepWorkers = workers
-	if sweepWorkers <= 0 {
-		sweepWorkers = budget / shards
-		if sweepWorkers < 1 {
-			sweepWorkers = 1
-		}
-	}
-	shardWorkers = budget / sweepWorkers
-	if shardWorkers > shards {
-		shardWorkers = shards
-	}
-	if shardWorkers < 1 {
-		shardWorkers = 1
-	}
-	return sweepWorkers, shardWorkers
-}
-
 // DeriveSeed returns a per-job RNG seed from a base seed and a job index,
 // via a SplitMix64 round. Deriving rather than offsetting keeps sibling
 // jobs' RNG streams statistically independent while remaining a pure

@@ -152,41 +152,6 @@ func TestJobPanicUnwrap(t *testing.T) {
 	})
 }
 
-// TestCompose pins the budget split: when the sweep-worker count is
-// derived, the product of the two layers never exceeds the budget (no
-// oversubscription), and an explicit sweep-worker request is honoured
-// verbatim with the shard side yielding.
-func TestCompose(t *testing.T) {
-	cases := []struct {
-		budget, workers, shards int
-		wantSweep, wantShard    int
-	}{
-		{8, 0, 1, 8, 1},  // no sharding: sweep takes the whole budget
-		{8, 0, 4, 2, 4},  // derived split: 2*4 == budget
-		{8, 0, 16, 1, 8}, // shards exceed budget: one sweep lane, clamp shard side
-		{4, 0, 3, 1, 3},  // uneven: shard side capped at shards
-		{1, 0, 8, 1, 1},  // single-core host: both layers serial
-		{8, 2, 4, 2, 4},  // explicit workers honoured, shard side fits
-		{8, 8, 4, 8, 1},  // explicit workers eat the budget: shard side yields
-		{8, 3, 4, 3, 2},  // explicit workers, shard side takes the remainder
-		{4, 0, 0, 4, 1},  // shards < 1 treated as 1
-	}
-	for _, tc := range cases {
-		sweep, shard := Compose(tc.budget, tc.workers, tc.shards)
-		if sweep != tc.wantSweep || shard != tc.wantShard {
-			t.Errorf("Compose(%d, %d, %d) = (%d, %d), want (%d, %d)",
-				tc.budget, tc.workers, tc.shards, sweep, shard, tc.wantSweep, tc.wantShard)
-		}
-		if tc.workers <= 0 && sweep*shard > tc.budget {
-			t.Errorf("Compose(%d, %d, %d): derived %d*%d oversubscribes the budget",
-				tc.budget, tc.workers, tc.shards, sweep, shard)
-		}
-	}
-	if sweep, shard := Compose(0, 0, 1); sweep < 1 || shard != 1 {
-		t.Fatalf("Compose(0, 0, 1) = (%d, %d), want GOMAXPROCS sweep lanes and one shard worker", sweep, shard)
-	}
-}
-
 func TestDeriveSeed(t *testing.T) {
 	seen := map[uint64]int{}
 	for i := 0; i < 1000; i++ {

@@ -111,56 +111,6 @@ func BenchmarkSwitchCycleIdle(b *testing.B) {
 	}
 }
 
-// BenchmarkSwitchCycleSharded measures the sharded pipeline on the
-// saturated radix-64 SSVC configuration at increasing shard counts.
-// ShardWorkers is left at 0, so the executor clamps its team to
-// GOMAXPROCS: on a multi-core host shards run on real goroutines, on a
-// single-core host the same sharded program runs inline — either way
-// the number reported is the honest cycles/sec for this machine (see
-// BENCH_shard.json for the recorded split and hardware caveat).
-// Results are bit-identical at every shard count; only wall-clock
-// changes.
-func BenchmarkSwitchCycleSharded(b *testing.B) {
-	const radix = 64
-	vticks := make([]core.VTime, radix)
-	for i := range vticks {
-		vticks[i] = 16
-	}
-	factory := func(int) arb.Arbiter {
-		return core.NewSSVC(core.Config{
-			Radix: radix, CounterBits: 12, SigBits: 4,
-			Policy: core.SubtractRealTime, Vticks: vticks,
-		})
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			sw, err := New(Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16,
-				GBBufferFlits: 16, Shards: shards}, factory)
-			if err != nil {
-				b.Fatal(err)
-			}
-			seq := new(traffic.Sequence)
-			for i := 0; i < radix; i++ {
-				spec := noc.FlowSpec{
-					Src: i, Dst: (i * 7) % radix,
-					Class:        noc.GuaranteedBandwidth,
-					Rate:         0.5,
-					PacketLength: 8,
-				}
-				if err := sw.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBacklogged(seq, spec, 4)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			sw.OnRelease(seq.Recycle)
-			sw.Run(1000) // fill pipelines and prime the free lists
-			b.ReportAllocs()
-			b.ResetTimer()
-			sw.Run(noc.Cycle(b.N))
-			b.ReportMetric(float64(sw.Delivered)/float64(sw.Now()), "pkts/cycle")
-		})
-	}
-}
-
 // BenchmarkSwitchCycleRecycled is the steady-state configuration the
 // experiments layer runs in: delivered packets are handed back to the
 // generator pool via OnRelease, so the cycle loop should report zero

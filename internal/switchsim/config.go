@@ -57,20 +57,6 @@ type Config struct {
 	// flits already sent are counted in the switch's WastedFlits.
 	Preemption bool
 
-	// Shards partitions the switch's ports into contiguous ranges
-	// simulated as conservative-PDES logical processes (see
-	// internal/shard and DESIGN.md "Sharded execution"). Values <= 1
-	// select the serial walk; results are bit-identical at every shard
-	// count. Output-coupling configurations (chaining, preemption,
-	// admission gates, arrival-observing arbiters, fault injection)
-	// always run serially, whatever the shard count.
-	Shards int
-	// ShardWorkers bounds the worker goroutines the sharded pipeline
-	// uses. 0 selects min(Shards, GOMAXPROCS); explicit values let
-	// tests force real barrier traffic on small hosts. The worker count
-	// is pure mechanism: it can never change simulation results.
-	ShardWorkers int
-
 	// DynamicFlows permits AddFlow while the simulation is running — the
 	// reservation control plane (internal/ctlplane) attaches and revokes
 	// flows live. It forces polled source generation: the event-driven

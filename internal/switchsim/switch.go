@@ -8,16 +8,12 @@ import (
 	"swizzleqos/internal/fabric"
 	"swizzleqos/internal/faults"
 	"swizzleqos/internal/noc"
-	"swizzleqos/internal/shard"
 	"swizzleqos/internal/traffic"
 )
 
-// inputPort holds one input's buffering and channel state. sh/li locate
-// the port's shard and its bit index within the shard's work masks.
+// inputPort holds one input's buffering and channel state.
 type inputPort struct {
 	id    int
-	sh    *swShard //ssvc:owner
-	li    int      // index within sh: id - sh.lo
 	be    *fabric.Buffer
 	gl    *fabric.Buffer
 	gb    []*fabric.Buffer // one virtual output queue per output
@@ -90,39 +86,29 @@ func (in *inputPort) bufferFor(class noc.Class, dst int) *fabric.Buffer {
 // assertion (admit runs once per input per cycle; see New).
 type outputPort struct {
 	id  int
-	sh  *swShard //ssvc:owner
-	li  int      // index within sh: id - sh.lo
 	arb arb.Arbiter
 	obs arb.ArrivalObserver // non-nil iff arb observes arrivals
 	pre arb.Preemptor       // non-nil iff arb can preempt
 	tx  *fabric.Transmission
 }
 
-// swEvent is one cross-shard boundary effect recorded during the
-// parallel serve stage and applied at the cycle's commit barrier: a
-// grant (pop the input's buffer, mark it busy) or a transfer completion
-// (free the input). Events are appended in ascending output order within
-// a shard and applied in ascending shard order, so the commit replays
-// exactly the serial walk's input-state mutations.
-type swEvent struct {
-	grant bool
-	input int
-	dst   int
-	class noc.Class
-	pkt   *noc.Packet // the granted packet (grant events only)
-}
+// Switch is the cycle-accurate crossbar simulator. Create one with New,
+// attach flows with AddFlow and a delivery observer with OnDeliver, then
+// drive it with Step or Run. It is not safe for concurrent use.
+//
+// The embedded fabric.Counters exposes the common utilization counters
+// (Injected, Admitted, Delivered, ArbCycles, IdleCycles, DataCycles);
+// the embedded fabric.Hooks provides OnDeliver/OnRelease. Switch
+// implements fabric.Engine.
+type Switch struct {
+	fabric.Counters
+	fabric.Hooks
 
-// swShard is one shard's slice of the switch: the ports [lo, hi) on both
-// the input and the output side, with private copies of every piece of
-// mutable kernel state the cycle loop touches — source queues,
-// transmission pool, work masks, offer buckets, and a counter block —
-// so the parallel stages share nothing but read-only structure. Masks
-// are indexed by local bit li = port - lo.
-type swShard struct {
-	lo, hi  int
-	sources *fabric.Sources
+	cfg     Config
+	inputs  []*inputPort
+	outputs []*outputPort
+	sources *fabric.Sources // one injection group per input; flow index = AddFlow order
 	txPool  fabric.TxPool
-	ctr     fabric.Counters // per-cycle deltas, merged into Switch.Counters at commit
 
 	// Event-driven work masks (see DESIGN.md "Event-driven idle
 	// skipping"): the cycle loop visits only ports these masks prove have
@@ -136,67 +122,14 @@ type swShard struct {
 	offerDst  []uint64 // scratch: outputs offered at least one request this cycle
 	admitSkip []uint64 // inputs whose admission scan is provably barren
 
-	offers  [][]arb.Request // scratch: this cycle's offers per local output
+	offers  [][]arb.Request // scratch: this cycle's offers per output
 	arbReqs []arb.Request   // scratch: requests handed to one arbitration
-
-	// Parallel-mode exchange state. outbox[j] carries this shard's
-	// offers toward shard j's outputs; evs and delivered accumulate the
-	// serve stage's boundary effects for the commit barrier. All are
-	// preallocated to port-count capacity, so steady state never grows
-	// them. The mailbox annotation blesses foreign-slot reads: the
-	// stage barrier between admitAndOffer (writes) and mergeAndServe
-	// (reads) orders them.
-	outbox    [][]request //ssvc:mailbox
-	evs       []swEvent
-	delivered []*noc.Packet
-}
-
-// ports returns the number of ports (inputs and outputs) the shard owns.
-func (sh *swShard) ports() int { return sh.hi - sh.lo }
-
-// flowRef locates a flow added through AddFlow inside the per-shard
-// source sets, preserving the global add-order index the public API
-// exposes.
-type flowRef struct {
-	shard int
-	idx   int
-}
-
-// Switch is the cycle-accurate crossbar simulator. Create one with New,
-// attach flows with AddFlow and a delivery observer with OnDeliver, then
-// drive it with Step or Run. It is not safe for concurrent use — but
-// with Config.Shards > 1 it parallelizes internally across shard worker
-// goroutines it owns (see DESIGN.md "Sharded execution").
-//
-// The embedded fabric.Counters exposes the common utilization counters
-// (Injected, Admitted, Delivered, ArbCycles, IdleCycles, DataCycles);
-// the embedded fabric.Hooks provides OnDeliver/OnRelease. Switch
-// implements fabric.Engine.
-type Switch struct {
-	fabric.Counters
-	fabric.Hooks
-
-	cfg     Config
-	inputs  []*inputPort  //ssvc:owned-index
-	outputs []*outputPort //ssvc:owned-index
-	part    shard.Partition
-	sh      []*swShard //ssvc:shards
-	flowDir []flowRef  // AddFlow order -> per-shard source index
-	hasObs  bool       // any output arbiter observes arrivals
 
 	now noc.Cycle
 	err error // terminal invariant violation; freezes the engine
 
 	faults     *faults.Injector
 	onFailStop func(now noc.Cycle, f faults.FailStop)
-
-	// Execution mode, decided lazily at the first Step/Run (SetFaults may
-	// arrive between New and the first cycle): program non-nil selects
-	// the parallel stage pipeline, nil the serial legacy walk.
-	modeSet bool
-	exec    *shard.Executor
-	program []shard.Stage
-	stop    func() bool // bound once; Step/Run pass it without allocating
 
 	// Crossbar-specific counters, alongside the embedded common block.
 	Chained     uint64 // packets granted by chaining (no arbitration cycle)
@@ -216,53 +149,34 @@ func New(cfg Config, newArb func(output int) arb.Arbiter) (*Switch, error) {
 	if newArb == nil {
 		return nil, fmt.Errorf("switchsim: nil arbiter factory")
 	}
-	part := shard.NewPartition(cfg.Radix, cfg.Shards)
-	s := &Switch{
-		cfg:     cfg,
-		inputs:  make([]*inputPort, cfg.Radix),
-		outputs: make([]*outputPort, cfg.Radix),
-		part:    part,
-		sh:      make([]*swShard, part.Shards()),
-	}
 	words := arb.MaskWords(cfg.Radix)
-	for k := range s.sh {
-		lo, hi := part.Range(k)
-		n := hi - lo
-		lw := arb.MaskWords(n)
-		sh := &swShard{
-			lo:        lo,
-			hi:        hi,
-			sources:   fabric.NewSources(n),
-			pkts:      make([]int, n),
-			inQ:       make([]uint64, lw),
-			inBusy:    make([]uint64, lw),
-			outTx:     make([]uint64, lw),
-			offerDst:  make([]uint64, lw),
-			admitSkip: make([]uint64, lw),
-			offers:    make([][]arb.Request, n),
-			arbReqs:   make([]arb.Request, 0, cfg.Radix),
-			outbox:    make([][]request, part.Shards()),
-			evs:       make([]swEvent, 0, n),
-			delivered: make([]*noc.Packet, 0, n),
-		}
-		// An admission skip is invalidated the moment a source queue
-		// turns nonempty: a fresh head is the only generation event that
-		// can make a barren input admissible again. Groups are local.
-		sh.sources.SetOnNewHead(func(group int) { arb.MaskClear(sh.admitSkip, group) })
-		if cfg.DynamicFlows {
-			sh.sources.DisableEventDriven()
-		}
-		// Pre-seed the transmission free list (one in-flight packet per
-		// output is the maximum) so the steady-state loop never allocates.
-		sh.txPool.Preload(n)
-		s.sh[k] = sh
+	s := &Switch{
+		cfg:       cfg,
+		inputs:    make([]*inputPort, cfg.Radix),
+		outputs:   make([]*outputPort, cfg.Radix),
+		sources:   fabric.NewSources(cfg.Radix),
+		pkts:      make([]int, cfg.Radix),
+		inQ:       make([]uint64, words),
+		inBusy:    make([]uint64, words),
+		outTx:     make([]uint64, words),
+		offerDst:  make([]uint64, words),
+		admitSkip: make([]uint64, words),
+		offers:    make([][]arb.Request, cfg.Radix),
+		arbReqs:   make([]arb.Request, 0, cfg.Radix),
 	}
+	// An admission skip is invalidated the moment a source queue turns
+	// nonempty: a fresh head is the only generation event that can make a
+	// barren input admissible again.
+	s.sources.SetOnNewHead(func(group int) { arb.MaskClear(s.admitSkip, group) })
+	if cfg.DynamicFlows {
+		s.sources.DisableEventDriven()
+	}
+	// Pre-seed the transmission free list (one in-flight packet per
+	// output is the maximum) so the steady-state loop never allocates.
+	s.txPool.Preload(cfg.Radix)
 	for i := range s.inputs {
-		sh := s.sh[part.Of(i)]
 		in := &inputPort{
 			id:    i,
-			sh:    sh,
-			li:    i - sh.lo,
 			be:    fabric.NewBuffer(cfg.BEBufferFlits),
 			gl:    fabric.NewBuffer(cfg.GLBufferFlits),
 			gb:    make([]*fabric.Buffer, cfg.Radix),
@@ -278,13 +192,9 @@ func New(cfg Config, newArb func(output int) arb.Arbiter) (*Switch, error) {
 		if a == nil {
 			return nil, fmt.Errorf("switchsim: arbiter factory returned nil for output %d", o)
 		}
-		sh := s.sh[part.Of(o)]
-		op := &outputPort{id: o, sh: sh, li: o - sh.lo, arb: a}
+		op := &outputPort{id: o, arb: a}
 		op.obs, _ = a.(arb.ArrivalObserver)
 		op.pre, _ = a.(arb.Preemptor)
-		if op.obs != nil {
-			s.hasObs = true
-		}
 		s.outputs[o] = op
 	}
 	return s, nil
@@ -352,18 +262,14 @@ func (s *Switch) AddFlow(f traffic.Flow) error {
 	if s.now != 0 && !s.cfg.DynamicFlows {
 		return fmt.Errorf("switchsim: AddFlow at cycle %d requires Config.DynamicFlows (the event-driven source calendar is already sealed)", s.now)
 	}
-	k := s.part.Of(f.Spec.Src)
-	sh := s.sh[k]
-	idx := sh.sources.Add(f, f.Spec.Src-sh.lo)
-	s.flowDir = append(s.flowDir, flowRef{shard: k, idx: idx})
+	s.sources.Add(f, f.Spec.Src)
 	return nil
 }
 
 // SourceQueueLen returns flow index f's current source-queue depth in
 // packets, for tests. Flow indices follow AddFlow order.
 func (s *Switch) SourceQueueLen(f int) int {
-	ref := s.flowDir[f]
-	return s.sh[ref.shard].sources.Flow(ref.idx).Queued()
+	return s.sources.Flow(f).Queued()
 }
 
 // BufferOccupancy returns the flit occupancy of the class buffer at input
@@ -372,64 +278,12 @@ func (s *Switch) BufferOccupancy(i int, class noc.Class, dst int) int {
 	return s.inputs[i].bufferFor(class, dst).Flits()
 }
 
-// ParallelActive reports whether the switch runs the sharded parallel
-// pipeline (meaningful after the first Step or Run). Configurations
-// that couple outputs within a cycle — packet chaining, preemption,
-// admission gates, arrival-observing arbiters, fault injection — always
-// take the serial walk, whatever the shard count.
-func (s *Switch) ParallelActive() bool { return s.program != nil }
-
-// ensureMode picks the execution mode on the first cycle, once the
-// fault schedule (the one post-New input to the decision) is final.
-//
-// The parallel pipeline is sound only when outputs are independent
-// within a cycle given the start-of-cycle offer snapshot. That holds
-// exactly when: each input offers to at most one output (always true),
-// no grant at one output can alter another output's candidate set in
-// the same cycle (true without chaining/preemption, because the busy
-// re-filter is then a no-op — a freed input made no offer this cycle),
-// admission touches only input-side state (true without gates, faults,
-// and arrival-observing arbiters), and arbiter state is per-output
-// (true without observers). Every coupled configuration keeps the
-// serial walk, which remains bit-exact with the pre-shard engine.
-func (s *Switch) ensureMode() {
-	if s.modeSet {
-		return
-	}
-	s.modeSet = true
-	if len(s.sh) <= 1 || s.faults != nil || s.hasObs ||
-		s.cfg.PacketChaining || s.cfg.Preemption || s.cfg.AdmissionGate != nil {
-		return
-	}
-	s.exec = shard.NewExecutor(len(s.sh), s.cfg.ShardWorkers)
-	s.stop = s.stopped
-	s.program = []shard.Stage{
-		{Serial: s.generateSharded},
-		{Par: s.admitAndOffer},
-		{Par: s.mergeAndServe},
-		{Serial: s.commitSharded},
-	}
-}
-
 // Step advances the simulation one cycle: fault scheduling, generation,
 // admission, output channel processing (data or arbitration), then
 // arbiter clock ticks. After a terminal error, Step is a no-op.
 //
 //ssvc:hotpath
 func (s *Switch) Step() {
-	s.ensureMode()
-	if s.program != nil {
-		s.exec.Cycles(1, s.program, s.stop)
-		return
-	}
-	s.stepSerial()
-}
-
-// stepSerial is the legacy single-walk cycle, used at one shard and for
-// every output-coupling configuration.
-//
-//ssvc:hotpath
-func (s *Switch) stepSerial() {
 	if s.err != nil {
 		return
 	}
@@ -439,9 +293,7 @@ func (s *Switch) stepSerial() {
 			s.applyFailStop(now, f)
 		}
 	}
-	for _, sh := range s.sh {
-		s.Injected += sh.sources.Generate(now)
-	}
+	s.Injected += s.sources.Generate(now)
 	s.admit(now)
 	s.serveOutputs(now)
 	for _, out := range s.outputs {
@@ -450,258 +302,12 @@ func (s *Switch) stepSerial() {
 	s.now++
 }
 
-// stopped is the executor's cycle-boundary early exit: a pure read of
-// the freeze flag, which only the serial commit stage writes.
-func (s *Switch) stopped() bool { return s.err != nil }
-
 // Run advances the simulation by n cycles, stopping early if the engine
 // fails sick (see Err).
 func (s *Switch) Run(n noc.Cycle) {
-	s.ensureMode()
-	if s.program != nil {
-		s.exec.Cycles(n, s.program, s.stop)
-		return
+	for i := noc.Cycle(0); i < n && s.err == nil; i++ {
+		s.Step()
 	}
-	for i := noc.Cycle(0); i < n; i++ {
-		if s.err != nil {
-			return
-		}
-		s.stepSerial()
-	}
-}
-
-// generateSharded is the parallel pipeline's serial generation stage:
-// packet IDs come from a Sequence shared across shards, so emission
-// stays on one goroutine, walking shards in ascending order.
-func (s *Switch) generateSharded() {
-	now := s.now
-	for _, sh := range s.sh {
-		s.Injected += sh.sources.Generate(now)
-	}
-}
-
-// admitAndOffer is the parallel pipeline's input-side stage for shard k:
-// admit packets into shard k's input buffers, then snapshot shard k's
-// offers into per-destination-shard outboxes. Everything it writes is
-// shard-k state except the packet itself (owned by its source queue
-// head, untouched elsewhere this stage).
-//
-//ssvc:hotpath
-func (s *Switch) admitAndOffer(k int) {
-	sh := s.sh[k]
-	now := s.now
-	// The parallel mode excludes faults, gates, and arrival observers
-	// (see ensureMode), so admission is the masked event-driven scan
-	// with the simple buffer-space test.
-	try := func(p *noc.Packet) bool {
-		buf := s.inputs[p.Src].bufferFor(p.Class, p.Dst)
-		if !buf.CanAccept(p.Length) {
-			return false
-		}
-		p.EnqueuedAt = now
-		buf.Push(p)
-		s.notePush(s.inputs[p.Src], p.Class, p.Dst)
-		sh.ctr.Admitted++
-		return true
-	}
-	sh.ctr.SkippedAdmits += uint64(arb.MaskCount(sh.admitSkip))
-	n := sh.ports()
-	for w := range sh.admitSkip {
-		m := ^sh.admitSkip[w]
-		if w == len(sh.admitSkip)-1 {
-			m &= lastWordMask(n)
-		}
-		for m != 0 {
-			li := w<<6 + bits.TrailingZeros64(m)
-			m &= m - 1
-			if sh.sources.AdmitGroup(li, try) == nil {
-				sh.admitSkip[w] |= 1 << (uint(li) & 63)
-			}
-		}
-	}
-	// Snapshot this shard's offers. The producer clears its own
-	// outboxes (the consumers only read them, one stage later).
-	for j := range sh.outbox {
-		sh.outbox[j] = sh.outbox[j][:0]
-	}
-	for w := range sh.inQ {
-		m := sh.inQ[w] &^ sh.inBusy[w]
-		for m != 0 {
-			li := w<<6 + bits.TrailingZeros64(m)
-			m &= m - 1
-			if r, ok := s.inputs[sh.lo+li].currentRequest(now); ok {
-				j := s.part.Of(r.dst)
-				sh.outbox[j] = append(sh.outbox[j], r)
-			}
-		}
-	}
-}
-
-// mergeAndServe is the parallel pipeline's output-side stage for shard
-// k: gather the offers addressed to shard k's outputs (ascending source
-// shard, so the per-output request order equals the serial ascending-
-// input walk), serve each output with work, then tick shard k's
-// arbiters. Cross-shard effects are recorded as events for the commit
-// barrier; output-local effects (transmission slots, arbiter state,
-// this shard's pool and masks) apply immediately.
-//
-//ssvc:hotpath
-func (s *Switch) mergeAndServe(k int) {
-	sh := s.sh[k]
-	now := s.now
-	// offerDst still holds last cycle's offered-output set, and offers[o]
-	// is non-empty only where its bit is set — so resetting just those
-	// buckets touches ~#offers slice headers instead of all radix.
-	for w := range sh.offerDst {
-		m := sh.offerDst[w]
-		sh.offerDst[w] = 0
-		for m != 0 {
-			li := w<<6 + bits.TrailingZeros64(m)
-			m &= m - 1
-			sh.offers[li] = sh.offers[li][:0]
-		}
-	}
-	for j := range s.sh {
-		for _, r := range s.sh[j].outbox[k] {
-			li := r.dst - sh.lo
-			sh.offers[li] = append(sh.offers[li], r.req)
-			arb.MaskSet(sh.offerDst, li)
-		}
-	}
-	// Visit only outputs with an in-flight packet or at least one offer
-	// (ascending, like the serial walk). Everything skipped is provably
-	// idle and accounted in bulk.
-	visited := 0
-	for w := range sh.offerDst {
-		m := sh.offerDst[w] | sh.outTx[w]
-		visited += bits.OnesCount64(m)
-		for m != 0 {
-			li := w<<6 + bits.TrailingZeros64(m)
-			m &= m - 1
-			s.serveOutputSharded(sh, s.outputs[sh.lo+li], now)
-		}
-	}
-	skipped := uint64(sh.ports() - visited)
-	sh.ctr.IdleCycles += skipped
-	sh.ctr.SkippedOutputs += skipped
-	for i := sh.lo; i < sh.hi; i++ {
-		s.outputs[i].arb.Tick(now)
-	}
-}
-
-// serveOutputSharded advances one output channel in the parallel
-// pipeline: move a flit or spend the cycle arbitrating, never both.
-// Grants take the transmission slot and notify the arbiter here; the
-// input-side half (buffer pop, busy flag, masks) becomes a commit
-// event, applied under the barrier in deterministic order.
-//
-//ssvc:hotpath
-func (s *Switch) serveOutputSharded(sh *swShard, out *outputPort, now noc.Cycle) {
-	if out.tx != nil {
-		sh.ctr.DataCycles++
-		tx := out.tx
-		tx.Remaining--
-		if tx.Remaining > 0 {
-			return
-		}
-		pkt := tx.Pkt
-		input := tx.Input
-		out.tx = nil
-		arb.MaskClear(sh.outTx, out.li)
-		sh.txPool.Put(tx)
-		pkt.DeliveredAt = now
-		sh.ctr.Delivered++
-		sh.delivered = append(sh.delivered, pkt)
-		sh.evs = append(sh.evs, swEvent{input: input, dst: out.id})
-		return
-	}
-	// The scratch slice is reused across outputs and cycles; arbiters
-	// must not retain it past the Arbitrate call. The busy re-filter is
-	// a no-op here (a busy input made no offer, and grants this cycle
-	// defer the busy flag to commit), but it keeps the request-building
-	// path identical to the serial walk.
-	reqs := sh.arbReqs[:0]
-	for _, r := range sh.offers[out.li] {
-		if !s.inputs[r.Input].busy {
-			reqs = append(reqs, r)
-		}
-	}
-	if len(reqs) == 0 {
-		sh.ctr.IdleCycles++
-		return
-	}
-	sh.ctr.ArbCycles++
-	w := out.arb.Arbitrate(now, reqs)
-	if w < 0 {
-		return
-	}
-	req := reqs[w]
-	out.tx = sh.txPool.Get(req.Packet, req.Input)
-	arb.MaskSet(sh.outTx, out.li)
-	// The arbiter's bandwidth accounting covers every granted packet.
-	out.arb.Granted(now, req)
-	sh.evs = append(sh.evs, swEvent{grant: true, input: req.Input, dst: out.id, class: req.Class, pkt: req.Packet})
-}
-
-// commitSharded applies the cycle's boundary events in ascending shard
-// order (a sorted merge over the fixed shard numbering — within a
-// shard, events are already in ascending output order), runs the
-// delivery hooks in the same deterministic order, merges the per-shard
-// counter deltas, and advances the clock. It is the only stage that
-// writes input-side state for grants and completions, so the parallel
-// stages' reads of busy flags and buffers are race-free by barrier.
-func (s *Switch) commitSharded() {
-	now := s.now
-	for _, sh := range s.sh {
-		for i := range sh.evs {
-			ev := &sh.evs[i]
-			in := s.inputs[ev.input]
-			if !ev.grant {
-				in.busy = false
-				arb.MaskClear(in.sh.inBusy, in.li)
-				continue
-			}
-			buf := in.bufferFor(ev.class, ev.dst)
-			p := buf.Pop()
-			if p != ev.pkt {
-				//ssvc:coldpath the engine freezes sick here, so this error path may allocate
-				// A grant must match the queue head the offer was built
-				// from. A mismatch means simulator state is corrupt;
-				// freeze the engine with a descriptive error instead of
-				// killing the whole sweep pool.
-				head := "empty queue"
-				if p != nil {
-					head = fmt.Sprintf("packet %d", p.ID)
-				}
-				s.fail(fmt.Errorf("switchsim: cycle %d: output %d granted packet %d but input %d head is %s",
-					now, ev.dst, ev.pkt.ID, ev.input, head))
-				return
-			}
-			p.GrantedAt = now
-			in.busy = true
-			arb.MaskSet(in.sh.inBusy, in.li)
-			s.notePop(in, ev.class, ev.dst, buf)
-			// Freed buffer space can unblock a barren admission scan.
-			arb.MaskClear(in.sh.admitSkip, in.li)
-			if ev.class == noc.GuaranteedBandwidth {
-				in.gbRR = (ev.dst + 1) % s.cfg.Radix
-			}
-			ev.pkt = nil
-		}
-		sh.evs = sh.evs[:0]
-	}
-	for _, sh := range s.sh {
-		for i, p := range sh.delivered {
-			s.Deliver(p)
-			sh.delivered[i] = nil
-		}
-		sh.delivered = sh.delivered[:0]
-	}
-	for _, sh := range s.sh {
-		s.Counters.Add(sh.ctr)
-		sh.ctr = fabric.Counters{}
-	}
-	s.now++
 }
 
 // admit moves at most one packet per input from a source queue into the
@@ -744,29 +350,24 @@ func (s *Switch) admit(now noc.Cycle) {
 		// queue turns nonempty (the Sources new-head callback clears it).
 		// Fault dooming and admission gates are time-varying, so those
 		// configurations always take the full scan below.
-		for _, sh := range s.sh {
-			s.SkippedAdmits += uint64(arb.MaskCount(sh.admitSkip))
-			n := sh.ports()
-			for w := range sh.admitSkip {
-				m := ^sh.admitSkip[w]
-				if w == len(sh.admitSkip)-1 {
-					m &= lastWordMask(n)
-				}
-				for m != 0 {
-					li := w<<6 + bits.TrailingZeros64(m)
-					m &= m - 1
-					if sh.sources.AdmitGroup(li, try) == nil {
-						sh.admitSkip[w] |= 1 << (uint(li) & 63)
-					}
+		s.SkippedAdmits += uint64(arb.MaskCount(s.admitSkip))
+		for w := range s.admitSkip {
+			m := ^s.admitSkip[w]
+			if w == len(s.admitSkip)-1 {
+				m &= lastWordMask(s.cfg.Radix)
+			}
+			for m != 0 {
+				i := w<<6 + bits.TrailingZeros64(m)
+				m &= m - 1
+				if s.sources.AdmitGroup(i, try) == nil {
+					s.admitSkip[w] |= 1 << (uint(i) & 63)
 				}
 			}
 		}
 		return
 	}
-	for _, sh := range s.sh {
-		for li := 0; li < sh.ports(); li++ {
-			sh.sources.AdmitGroup(li, try)
-		}
+	for i := range s.inputs {
+		s.sources.AdmitGroup(i, try)
 	}
 }
 
@@ -783,8 +384,8 @@ func lastWordMask(n int) uint64 {
 //
 //ssvc:hotpath
 func (s *Switch) notePush(in *inputPort, class noc.Class, dst int) {
-	in.sh.pkts[in.li]++
-	arb.MaskSet(in.sh.inQ, in.li)
+	s.pkts[in.id]++
+	arb.MaskSet(s.inQ, in.id)
 	if class == noc.GuaranteedBandwidth {
 		arb.MaskSet(in.gbOcc, dst)
 	}
@@ -794,9 +395,9 @@ func (s *Switch) notePush(in *inputPort, class noc.Class, dst int) {
 //
 //ssvc:hotpath
 func (s *Switch) notePop(in *inputPort, class noc.Class, dst int, buf *fabric.Buffer) {
-	in.sh.pkts[in.li]--
-	if in.sh.pkts[in.li] == 0 {
-		arb.MaskClear(in.sh.inQ, in.li)
+	s.pkts[in.id]--
+	if s.pkts[in.id] == 0 {
+		arb.MaskClear(s.inQ, in.id)
 	}
 	if class == noc.GuaranteedBandwidth && buf.Len() == 0 {
 		arb.MaskClear(in.gbOcc, dst)
@@ -822,29 +423,23 @@ func (s *Switch) serveOutputs(now noc.Cycle) {
 	// offerDst still holds last cycle's offered-output set, and offers[o]
 	// is non-empty only where its bit is set — so resetting just those
 	// buckets touches ~#offers slice headers instead of all radix.
-	for _, sh := range s.sh {
-		for w := range sh.offerDst {
-			m := sh.offerDst[w]
-			sh.offerDst[w] = 0
-			for m != 0 {
-				li := w<<6 + bits.TrailingZeros64(m)
-				m &= m - 1
-				sh.offers[li] = sh.offers[li][:0]
-			}
+	for w := range s.offerDst {
+		m := s.offerDst[w]
+		s.offerDst[w] = 0
+		for m != 0 {
+			o := w<<6 + bits.TrailingZeros64(m)
+			m &= m - 1
+			s.offers[o] = s.offers[o][:0]
 		}
 	}
-	for _, sh := range s.sh {
-		for w := range sh.inQ {
-			m := sh.inQ[w] &^ sh.inBusy[w]
-			for m != 0 {
-				li := w<<6 + bits.TrailingZeros64(m)
-				m &= m - 1
-				if r, ok := s.inputs[sh.lo+li].currentRequest(now); ok {
-					dsh := s.sh[s.part.Of(r.dst)]
-					dli := r.dst - dsh.lo
-					dsh.offers[dli] = append(dsh.offers[dli], r.req)
-					arb.MaskSet(dsh.offerDst, dli)
-				}
+	for w := range s.inQ {
+		m := s.inQ[w] &^ s.inBusy[w]
+		for m != 0 {
+			i := w<<6 + bits.TrailingZeros64(m)
+			m &= m - 1
+			if r, ok := s.inputs[i].currentRequest(now); ok {
+				s.offers[r.dst] = append(s.offers[r.dst], r.req)
+				arb.MaskSet(s.offerDst, r.dst)
 			}
 		}
 	}
@@ -860,18 +455,16 @@ func (s *Switch) serveOutputs(now noc.Cycle) {
 	// at least one offer (ascending, like the full walk). Everything
 	// skipped is provably idle and accounted in bulk.
 	visited := 0
-	for _, sh := range s.sh {
-		for w := range sh.offerDst {
-			m := sh.offerDst[w] | sh.outTx[w]
-			visited += bits.OnesCount64(m)
-			for m != 0 {
-				li := w<<6 + bits.TrailingZeros64(m)
-				m &= m - 1
-				if s.err != nil {
-					return
-				}
-				s.serveOutput(s.outputs[sh.lo+li], now)
+	for w := range s.offerDst {
+		m := s.offerDst[w] | s.outTx[w]
+		visited += bits.OnesCount64(m)
+		for m != 0 {
+			o := w<<6 + bits.TrailingZeros64(m)
+			m &= m - 1
+			if s.err != nil {
+				return
 			}
+			s.serveOutput(s.outputs[o], now)
 		}
 	}
 	if s.err == nil {
@@ -916,8 +509,8 @@ func (s *Switch) serveOutput(out *outputPort, now noc.Cycle) {
 	// arbiters must not retain it past the Arbitrate call. Inputs
 	// granted at an earlier output this cycle are busy again and
 	// filtered here.
-	reqs := out.sh.arbReqs[:0]
-	for _, r := range out.sh.offers[out.li] {
+	reqs := s.arbReqs[:0]
+	for _, r := range s.offers[out.id] {
 		if !s.inputs[r.Input].busy {
 			reqs = append(reqs, r)
 		}
@@ -942,8 +535,8 @@ func (s *Switch) serveOutput(out *outputPort, now noc.Cycle) {
 //ssvc:hotpath
 func (s *Switch) tryPreempt(out *outputPort, now noc.Cycle) bool {
 	pre := out.pre
-	reqs := out.sh.arbReqs[:0]
-	for _, r := range out.sh.offers[out.li] {
+	reqs := s.arbReqs[:0]
+	for _, r := range s.offers[out.id] {
 		if !s.inputs[r.Input].busy {
 			reqs = append(reqs, r)
 		}
@@ -961,12 +554,12 @@ func (s *Switch) tryPreempt(out *outputPort, now noc.Cycle) bool {
 	s.WastedFlits += uint64(tx.Pkt.Length - tx.Remaining)
 	victim := s.inputs[tx.Input]
 	victim.busy = false
-	arb.MaskClear(victim.sh.inBusy, victim.li)
+	arb.MaskClear(s.inBusy, victim.id)
 	victim.bufferFor(tx.Pkt.Class, out.id).PushFront(tx.Pkt)
 	s.notePush(victim, tx.Pkt.Class, out.id)
 	out.tx = nil
-	arb.MaskClear(out.sh.outTx, out.li)
-	out.sh.txPool.Put(tx)
+	arb.MaskClear(s.outTx, out.id)
+	s.txPool.Put(tx)
 	s.grant(out, now, reqs[w], false)
 	return true
 }
@@ -989,10 +582,10 @@ func (s *Switch) transfer(out *outputPort, now noc.Cycle) {
 	pkt := tx.Pkt
 	in := s.inputs[tx.Input]
 	in.busy = false
-	arb.MaskClear(in.sh.inBusy, in.li)
+	arb.MaskClear(s.inBusy, in.id)
 	out.tx = nil
-	arb.MaskClear(out.sh.outTx, out.li)
-	out.sh.txPool.Put(tx)
+	arb.MaskClear(s.outTx, out.id)
+	s.txPool.Put(tx)
 	if s.faults != nil && s.faults.CorruptArrival(pkt) {
 		s.WastedFlits += uint64(pkt.Length)
 		if s.faults.Retry(now, pkt) {
@@ -1021,16 +614,14 @@ func (s *Switch) transfer(out *outputPort, now noc.Cycle) {
 //
 //ssvc:hotpath
 func (s *Switch) tryChain(out *outputPort, now noc.Cycle) {
-	reqs := out.sh.arbReqs[:0]
-	for _, sh := range s.sh {
-		for w := range sh.inQ {
-			m := sh.inQ[w] &^ sh.inBusy[w]
-			for m != 0 {
-				li := w<<6 + bits.TrailingZeros64(m)
-				m &= m - 1
-				if r, ok := s.inputs[sh.lo+li].currentRequest(now); ok && r.dst == out.id {
-					reqs = append(reqs, r.req)
-				}
+	reqs := s.arbReqs[:0]
+	for w := range s.inQ {
+		m := s.inQ[w] &^ s.inBusy[w]
+		for m != 0 {
+			i := w<<6 + bits.TrailingZeros64(m)
+			m &= m - 1
+			if r, ok := s.inputs[i].currentRequest(now); ok && r.dst == out.id {
+				reqs = append(reqs, r.req)
 			}
 		}
 	}
@@ -1070,15 +661,15 @@ func (s *Switch) grant(out *outputPort, now noc.Cycle, req arb.Request, chained 
 	}
 	p.GrantedAt = now
 	in.busy = true
-	arb.MaskSet(in.sh.inBusy, in.li)
+	arb.MaskSet(s.inBusy, in.id)
 	s.notePop(in, req.Class, out.id, buf)
 	// Freed buffer space can unblock a previously barren admission scan.
-	arb.MaskClear(in.sh.admitSkip, in.li)
+	arb.MaskClear(s.admitSkip, in.id)
 	if req.Class == noc.GuaranteedBandwidth {
 		in.gbRR = (out.id + 1) % s.cfg.Radix
 	}
-	out.tx = out.sh.txPool.Get(p, req.Input)
-	arb.MaskSet(out.sh.outTx, out.li)
+	out.tx = s.txPool.Get(p, req.Input)
+	arb.MaskSet(s.outTx, out.id)
 	// The arbiter's bandwidth accounting covers chained packets too:
 	// every transmitted packet advances the flow's virtual clock.
 	out.arb.Granted(now, req)
@@ -1134,12 +725,10 @@ func (s *Switch) applyFailStop(now noc.Cycle, f faults.FailStop) {
 // the masks afterwards is simpler and safer than patching them through
 // each drop. Cold path.
 func (s *Switch) recomputeMasks() {
-	for _, sh := range s.sh {
-		arb.MaskZero(sh.inQ)
-		arb.MaskZero(sh.inBusy)
-		arb.MaskZero(sh.outTx)
-		arb.MaskZero(sh.admitSkip)
-	}
+	arb.MaskZero(s.inQ)
+	arb.MaskZero(s.inBusy)
+	arb.MaskZero(s.outTx)
+	arb.MaskZero(s.admitSkip)
 	for _, in := range s.inputs {
 		n := in.gl.Len() + in.be.Len()
 		arb.MaskZero(in.gbOcc)
@@ -1149,17 +738,17 @@ func (s *Switch) recomputeMasks() {
 			}
 			n += q.Len()
 		}
-		in.sh.pkts[in.li] = n
+		s.pkts[in.id] = n
 		if n > 0 {
-			arb.MaskSet(in.sh.inQ, in.li)
+			arb.MaskSet(s.inQ, in.id)
 		}
 		if in.busy {
-			arb.MaskSet(in.sh.inBusy, in.li)
+			arb.MaskSet(s.inBusy, in.id)
 		}
 	}
 	for _, out := range s.outputs {
 		if out.tx != nil {
-			arb.MaskSet(out.sh.outTx, out.li)
+			arb.MaskSet(s.outTx, out.id)
 		}
 	}
 }
@@ -1172,6 +761,6 @@ func (s *Switch) abortTx(out *outputPort) {
 	s.WastedFlits += uint64(pkt.Length - tx.Remaining)
 	s.inputs[tx.Input].busy = false
 	out.tx = nil
-	out.sh.txPool.Put(tx)
+	s.txPool.Put(tx)
 	s.dropPkt(pkt)
 }
