@@ -9,13 +9,11 @@ import (
 )
 
 // This file is the interprocedural layer under the durability,
-// valuerange and taint analyzers: a whole-module function index with per-function
-// effect summaries (which parameters' reachable memory a function may
-// write, which struct fields it writes transitively, whether it touches
-// package-level state or spawns goroutines, and which of its func-typed
-// parameters it may invoke), plus class-hierarchy resolution for calls
-// through interfaces (every concrete method in the loaded packages whose
-// receiver type implements the interface).
+// valuerange and taint analyzers: a whole-module function index with
+// per-function effect summaries (which parameters' reachable memory a
+// function may write, and the calls it makes), plus class-hierarchy
+// resolution for calls through interfaces (every concrete method in the
+// loaded packages whose receiver type implements the interface).
 //
 // Summaries are computed in two phases. The local phase walks one
 // function body resolving each written lvalue to a root — receiver,
@@ -62,23 +60,17 @@ type funcInfo struct {
 // callRecord is one resolved call site inside a function: the candidate
 // callees (one for a static call, every implementing method for an
 // interface call) and, per callee parameter slot (receiver first), the
-// caller root the argument aliases (-1 unknown/fresh, -2 package-level)
-// plus the struct fields an argument exposes for writing.
+// caller root the argument aliases (-1 unknown/fresh, -2 package-level).
 type callRecord struct {
-	callees   []*types.Func
-	args      []int
-	argFields [][]*types.Var
+	callees []*types.Func
+	args    []int
 }
 
 // effectSummary is a function's interprocedurally-closed effect set.
 // Parameter slots are receiver-first.
 type effectSummary struct {
-	writesParam  []bool
-	callsParam   []bool
-	writesGlobal bool
-	spawnsGo     bool
-	written      map[*types.Var]bool
-	calls        []callRecord
+	writesParam []bool
+	calls       []callRecord
 }
 
 // callGraph is the shared index both interprocedural analyzers run on.
@@ -177,7 +169,7 @@ type summaryBuilder struct {
 // localSummary computes a function's direct effects plus its call
 // records for the propagation phase.
 func (cg *callGraph) localSummary(fi *funcInfo) *effectSummary {
-	sum := &effectSummary{written: map[*types.Var]bool{}}
+	sum := &effectSummary{}
 	b := &summaryBuilder{cg: cg, pkg: fi.pkg, sum: sum, env: map[types.Object]int{}, info: fi.pkg.Info}
 	slot := 0
 	register := func(fl *ast.FieldList) {
@@ -200,7 +192,6 @@ func (cg *callGraph) localSummary(fi *funcInfo) *effectSummary {
 	register(fi.decl.Recv)
 	register(fi.decl.Type.Params)
 	sum.writesParam = make([]bool, slot)
-	sum.callsParam = make([]bool, slot)
 	b.walkBody(fi.decl.Body)
 	return sum
 }
@@ -209,7 +200,7 @@ func (cg *callGraph) localSummary(fi *funcInfo) *effectSummary {
 // (e.g. a goroutine body given inline). Callee summaries are already closed
 // when this is called, so a single merge pass is exact.
 func (cg *callGraph) litSummary(lit *ast.FuncLit, pkg *Package) *effectSummary {
-	sum := &effectSummary{written: map[*types.Var]bool{}}
+	sum := &effectSummary{}
 	b := &summaryBuilder{cg: cg, pkg: pkg, sum: sum, env: map[types.Object]int{}, info: pkg.Info}
 	b.registerFresh(lit.Type.Params)
 	b.walkBody(lit.Body)
@@ -275,7 +266,6 @@ func (b *summaryBuilder) walkBody(body *ast.BlockStmt) {
 				}
 			}
 		case *ast.GoStmt:
-			b.sum.spawnsGo = true
 			b.call(n.Call)
 		case *ast.DeferStmt:
 			b.call(n.Call)
@@ -331,92 +321,11 @@ func (b *summaryBuilder) assign(s *ast.AssignStmt) {
 }
 
 // recordWrite resolves one written lvalue to its root and marks the
-// written struct fields.
+// parameter it writes through, if any.
 func (b *summaryBuilder) recordWrite(lv ast.Expr) {
-	root := b.rootSlot(lv)
-	switch {
-	case root == rootGlobal:
-		b.sum.writesGlobal = true
-	case root >= 0:
-		if root < len(b.sum.writesParam) {
-			b.sum.writesParam[root] = true
-		}
-	case b.rootObj(lv) == nil:
-		// Unresolvable target (write through a call result, etc.):
-		// assume the worst.
-		b.sum.writesGlobal = true
+	if root := b.rootSlot(lv); root >= 0 && root < len(b.sum.writesParam) {
+		b.sum.writesParam[root] = true
 	}
-	b.markWritten(lv)
-}
-
-// markWritten records the struct fields an lvalue write mutates: the
-// leaf field, then outward through value-typed (non-pointer) embeddings
-// — writing a.b.c also dirties b when b is a struct value inside a, but
-// stops at pointer and slice indirections (writing s.in.pkts[i] does
-// not dirty the pointer field in).
-func (b *summaryBuilder) markWritten(lv ast.Expr) {
-	switch e := lv.(type) {
-	case *ast.ParenExpr:
-		b.markWritten(e.X)
-	case *ast.SelectorExpr:
-		if fv := b.fieldVar(e); fv != nil {
-			b.sum.written[fv] = true
-		}
-		if !indirectType(b.exprType(e.X)) {
-			b.markWritten(e.X)
-		}
-	case *ast.IndexExpr:
-		if _, ok := b.exprType(e.X).Underlying().(*types.Array); ok {
-			b.markWritten(e.X)
-			return
-		}
-		// Slice/map element write: the container field's backing store is
-		// mutated, but nothing beyond the slice-header indirection.
-		if sel, ok := unparen(e.X).(*ast.SelectorExpr); ok {
-			if fv := b.fieldVar(sel); fv != nil {
-				b.sum.written[fv] = true
-			}
-		}
-	case *ast.StarExpr:
-		// Write through a pointer: the pointee is behind an indirection;
-		// nothing outward to mark.
-	}
-}
-
-// argFieldSet lists the struct fields a callee could dirty by writing
-// through one argument (the call-site side of markWritten).
-func (b *summaryBuilder) argFieldSet(arg ast.Expr) []*types.Var {
-	var out []*types.Var
-	switch e := unparen(arg).(type) {
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			if sel, ok := unparen(e.X).(*ast.SelectorExpr); ok {
-				if fv := b.fieldVar(sel); fv != nil {
-					out = append(out, fv)
-				}
-			}
-		}
-	case *ast.SelectorExpr:
-		// Passing a slice/map/array-typed field hands out its backing
-		// store; passing a pointer-typed field hands out the pointee,
-		// whose fields the callee's own written set covers.
-		switch b.exprType(e).Underlying().(type) {
-		case *types.Slice, *types.Map, *types.Array:
-			if fv := b.fieldVar(e); fv != nil {
-				out = append(out, fv)
-			}
-		}
-	case *ast.IndexExpr:
-		if sel, ok := unparen(e.X).(*ast.SelectorExpr); ok {
-			switch b.exprType(e).Underlying().(type) {
-			case *types.Slice, *types.Map, *types.Array:
-				if fv := b.fieldVar(sel); fv != nil {
-					out = append(out, fv)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // call records one call site's callees and argument roots.
@@ -444,16 +353,10 @@ func (b *summaryBuilder) call(call *ast.CallExpr) {
 		switch obj := b.info.Uses[fun].(type) {
 		case *types.Func:
 			callees = []*types.Func{obj}
-		case *types.Var:
-			// Calling a func value: if it is one of our own func-typed
-			// parameters, record that; a local literal's effects were
-			// already merged where it was defined. Anything else is an
-			// untracked func value, trusted by design.
-			if slot, ok := b.env[obj]; ok && slot >= 0 && slot < len(b.sum.callsParam) {
-				b.sum.callsParam[slot] = true
-			}
-			return
 		default:
+			// A func value: a local literal's effects were already merged
+			// where it was defined; anything else is untracked and
+			// trusted by design.
 			return
 		}
 	case *ast.SelectorExpr:
@@ -466,10 +369,8 @@ func (b *summaryBuilder) call(call *ast.CallExpr) {
 			}
 		} else if fn, ok := b.info.Uses[fun.Sel].(*types.Func); ok {
 			callees = []*types.Func{fn} // qualified pkg.Func
-		} else if fv := b.fieldVar(fun); fv != nil {
-			return // stored hook: trusted (bound at construction)
 		} else {
-			return
+			return // stored hook or func-valued field: trusted (bound at construction)
 		}
 	case *ast.FuncLit:
 		return // effects already merged at the definition site
@@ -482,11 +383,9 @@ func (b *summaryBuilder) call(call *ast.CallExpr) {
 	cr := callRecord{callees: callees}
 	if recvExpr != nil {
 		cr.args = append(cr.args, b.rootSlot(recvExpr))
-		cr.argFields = append(cr.argFields, b.argFieldSet(recvExpr))
 	}
 	for _, a := range call.Args {
 		cr.args = append(cr.args, b.rootSlot(a))
-		cr.argFields = append(cr.argFields, b.argFieldSet(a))
 	}
 	b.sum.calls = append(b.sum.calls, cr)
 }
@@ -548,10 +447,6 @@ func (b *summaryBuilder) rootObj(e ast.Expr) types.Object {
 	}
 }
 
-// fieldVar resolves a selector to the struct field it denotes, or nil
-// for methods and package-qualified names.
-func (b *summaryBuilder) fieldVar(sel *ast.SelectorExpr) *types.Var { return fieldVarOf(b.info, sel) }
-
 // fieldVarOf resolves a selector to the struct field it denotes, or nil
 // for methods and package-qualified names.
 func fieldVarOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
@@ -561,13 +456,6 @@ func fieldVarOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
 		}
 	}
 	return nil
-}
-
-func (b *summaryBuilder) exprType(e ast.Expr) types.Type {
-	if tv, ok := b.info.Types[e]; ok && tv.Type != nil {
-		return tv.Type
-	}
-	return types.Typ[types.Invalid]
 }
 
 // indirectType reports whether the type is an indirection boundary:
@@ -648,44 +536,13 @@ func (cg *callGraph) mergeCalls(sum *effectSummary) {
 // call record; reports whether anything changed.
 func mergeSummary(sum *effectSummary, cs *effectSummary, cr callRecord) bool {
 	changed := false
-	set := func(dst *bool) {
-		if !*dst {
-			*dst = true
-			changed = true
-		}
-	}
-	if cs.writesGlobal {
-		set(&sum.writesGlobal)
-	}
-	if cs.spawnsGo {
-		set(&sum.spawnsGo)
-	}
-	for fv := range cs.written {
-		if !sum.written[fv] {
-			sum.written[fv] = true
-			changed = true
-		}
-	}
 	for j, root := range cr.args {
 		if j >= len(cs.writesParam) {
 			break
 		}
-		if cs.writesParam[j] {
-			switch {
-			case root == rootGlobal:
-				set(&sum.writesGlobal)
-			case root >= 0 && root < len(sum.writesParam):
-				set(&sum.writesParam[root])
-			}
-			for _, fv := range cr.argFields[j] {
-				if !sum.written[fv] {
-					sum.written[fv] = true
-					changed = true
-				}
-			}
-		}
-		if cs.callsParam[j] && root >= 0 && root < len(sum.callsParam) {
-			set(&sum.callsParam[root])
+		if cs.writesParam[j] && root >= 0 && root < len(sum.writesParam) && !sum.writesParam[root] {
+			sum.writesParam[root] = true
+			changed = true
 		}
 	}
 	return changed
