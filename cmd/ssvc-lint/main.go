@@ -1,12 +1,15 @@
-// Command ssvc-lint enforces the repository's simulator invariants at
-// the source level: determinism of everything feeding golden tables,
+// Command ssvc-lint enforces the repository's nine simulator invariants
+// at the source level: determinism of everything feeding golden tables,
 // allocation-freedom of //ssvc:hotpath functions (cross-checked against
 // go build -gcflags=-m), free-list recycle discipline,
 // freeze-sick-instead-of-panic error handling, counter-safety of
-// unsigned arithmetic (CFG/dataflow-backed guard tracking for
-// subtraction, plus narrowing, over-shift, and wrap-dead comparisons),
-// and the noc.Cycle/noc.VTime time-unit discipline. See
-// internal/analysis and the "Invariants" section of DESIGN.md.
+// unsigned arithmetic (subtractions proven non-negative on the interval
+// engine, plus narrowing, over-shift, and wrap-dead comparisons), the
+// noc.Cycle/noc.VTime time-unit discipline, durability ordering of
+// journal fsync before acknowledgement, value-range safety of
+// //ssvc:range-declared arithmetic, and taint barriers between
+// untrusted input and //ssvc:sink arithmetic. See internal/analysis and
+// the "Invariants" section of DESIGN.md.
 //
 // Usage:
 //
@@ -27,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -37,7 +41,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ssvc-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	root := fs.String("root", "", "module root (default: nearest go.mod above the working directory)")
@@ -111,7 +115,7 @@ type jsonFinding struct {
 
 // writeJSON emits the findings as a single indented JSON array. An
 // empty run prints `[]` so consumers never special-case the clean exit.
-func writeJSON(w *os.File, diags []analysis.Diagnostic) error {
+func writeJSON(w io.Writer, diags []analysis.Diagnostic) error {
 	out := make([]jsonFinding, 0, len(diags))
 	for _, d := range diags {
 		out = append(out, jsonFinding{File: d.File, Line: d.Line, Analyzer: d.Analyzer, Message: d.Message})

@@ -1,7 +1,8 @@
 // Package analysis is the repository's in-tree invariant linter
-// (cmd/ssvc-lint). It enforces at the source level the three
-// load-bearing guarantees the simulator's results rest on, which are
-// otherwise only checked at runtime by goldens and benchmarks:
+// (cmd/ssvc-lint). It enforces at the source level nine load-bearing
+// guarantees the simulator's results rest on, which are otherwise only
+// checked at runtime by goldens and benchmarks (DESIGN.md "Invariants"
+// documents each; rules.go names the packages each covers):
 //
 //   - determinism: packages that feed golden tables must not consult
 //     wall-clock time, the global math/rand source, or iterate maps in
@@ -18,6 +19,18 @@
 //   - panicfreeze: engine, fabric, and experiment code must not
 //     panic — invariant violations freeze the engine sick through
 //     fabric.ErrorReporter and surface as Outcome.Err.
+//   - countersafety: unsigned counters must not wrap or truncate —
+//     every unsigned subtraction is proven non-negative on the
+//     interval engine, plus narrowing, over-shift and wrap-dead
+//     comparison checks.
+//   - units: noc.Cycle and noc.VTime cross domains only through the
+//     named helpers in internal/noc.
+//   - durability: the control plane acknowledges a command only after
+//     its journal record is appended and fsynced, on every path.
+//   - valuerange: arithmetic over //ssvc:range-declared inputs is
+//     proven wrap- and truncation-free on the interval engine.
+//   - taint: untrusted input crosses an //ssvc:barrier validator
+//     before it reaches //ssvc:sink arithmetic.
 //
 // The package is stdlib-only (go/parser + go/types with the source
 // importer); the module has no dependencies and the build environment

@@ -138,9 +138,11 @@ func TestRecycleFixture(t *testing.T) {
 	compareFindings(t, want, diagSet(ds), ds)
 }
 
-// TestCounterSafetyFixture drives the CFG + guard-fact dataflow
-// through every guarded and unguarded shape in the fixture, plus the
-// context-free narrowing / over-shift / dead-compare rules.
+// TestCounterSafetyFixture drives the interval engine's subtraction
+// query — operand intervals plus the difference entries comparison
+// edges record — through every guarded and unguarded shape in the
+// fixture, plus the context-free narrowing / over-shift / dead-compare
+// rules.
 func TestCounterSafetyFixture(t *testing.T) {
 	l := newLoader(t)
 	pkgs := []string{"internal/analysis/testdata/src/countersafebad"}
@@ -402,6 +404,25 @@ func TestValueRangeMutation(t *testing.T) {
 	}
 	if len(ds) == 0 {
 		t.Fatal("valuerange missed the unguarded Frame-scaled product")
+	}
+	want := wantMarkers(t, repoRoot(t), pkgs...)
+	compareFindings(t, want, diagSet(ds), ds)
+}
+
+// TestCounterSafetyMutation is the countersafety meta-test: the fixture
+// copies the four real subtractions guarded by a comparison between two
+// non-constant operands (noc.SatSub, CCSP.Tick, SSVC.Tick's auxVC
+// decrement, Collector.Window) with the guard deleted. If the
+// difference entries ever stop failing closed, this test fails.
+func TestCounterSafetyMutation(t *testing.T) {
+	l := newLoader(t)
+	pkgs := []string{"internal/analysis/testdata/src/countermut"}
+	ds, err := analysis.CounterSafety(l, pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds) == 0 {
+		t.Fatal("countersafety missed every unguarded pair subtraction")
 	}
 	want := wantMarkers(t, repoRoot(t), pkgs...)
 	compareFindings(t, want, diagSet(ds), ds)

@@ -6,21 +6,24 @@ import (
 )
 
 // This file builds a per-function control-flow graph for the forward
-// dataflow analysis in dataflow.go. Blocks hold straight-line runs of
-// statements (and the condition expressions evaluated at their ends);
-// edges carry the branch condition and the value it takes along the
-// edge, which is where guard facts like `a >= b` are born.
+// flow analyses: the interval engine (interval.go), durability's
+// journal-ordering passes (durability.go) and the taint pass
+// (taint.go). Blocks hold straight-line runs of statements (and the
+// condition expressions evaluated at their ends); edges carry the
+// branch condition and the value it takes along the edge, which is
+// where comparison refinements like `a >= b` are born. The node
+// helpers at the end (walkNode, lvalRoots, collectIdents) serve the
+// interval and taint passes.
 //
 // The builder covers every statement form the module uses. Two
-// deliberate simplifications are safe for a must-analysis consumer but
-// worth knowing about:
+// deliberate simplifications are worth knowing about:
 //
 //   - goto is treated as a function exit (no edge). The module has no
 //     gotos; if one appears, the target block keeps only the facts from
 //     its other predecessors, which can over- or under-approximate.
 //   - A range statement's body is nested inside the RangeStmt node that
 //     heads the loop, so node consumers must not blindly descend into
-//     it (see walkCFGNode in countersafety.go).
+//     it (walkNode below skips it).
 
 // cfgEdge is one control transfer. When cond is non-nil the edge is
 // taken exactly when cond evaluates to branch.
@@ -79,7 +82,7 @@ func addEdge(from, to *cfgBlock, cond ast.Expr, branch bool) {
 
 // stmts threads cur through a statement list. A nil cur means control
 // cannot reach this point; a fresh predecessor-less block keeps the
-// walk total (the dataflow pass never visits it).
+// walk total (the flow passes never visit it).
 func (b *cfgBuilder) stmts(cur *cfgBlock, list []ast.Stmt) *cfgBlock {
 	for _, s := range list {
 		if cur == nil {
@@ -318,4 +321,59 @@ func (b *cfgBuilder) findTarget(label *ast.Ident, wantCont bool) *cfgBlock {
 		return t.brk
 	}
 	return nil
+}
+
+// walkNode visits a CFG node's own expressions, without descending
+// into nested function literals (analyzed as their own CFGs) or a
+// RangeStmt's body (already structured into the graph).
+func walkNode(n ast.Node, visit func(ast.Node)) {
+	if r, ok := n.(*ast.RangeStmt); ok {
+		walkNode(r.X, visit)
+		if r.Key != nil {
+			walkNode(r.Key, visit)
+		}
+		if r.Value != nil {
+			walkNode(r.Value, visit)
+		}
+		return
+	}
+	ast.Inspect(n, func(m ast.Node) bool {
+		if m == nil {
+			return false
+		}
+		if _, ok := m.(*ast.FuncLit); ok {
+			return false
+		}
+		visit(m)
+		return true
+	})
+}
+
+// lvalRoots records the root identifier of an assignable expression;
+// it returns true when the target cannot be resolved to a root (e.g. a
+// pointer indirection), meaning every tracked fact must be dropped.
+func lvalRoots(e ast.Expr, into map[string]bool) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		into[e.Name] = true
+		return false
+	case *ast.SelectorExpr:
+		return lvalRoots(e.X, into)
+	case *ast.IndexExpr:
+		return lvalRoots(e.X, into)
+	case *ast.ParenExpr:
+		return lvalRoots(e.X, into)
+	default:
+		return true
+	}
+}
+
+// collectIdents records every identifier mentioned in e.
+func collectIdents(e ast.Expr, into map[string]bool) {
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			into[id.Name] = true
+		}
+		return true
+	})
 }

@@ -15,18 +15,20 @@ import (
 // Four rules:
 //
 //  1. Unguarded subtraction: `a - b` (or `a -= b`) on an unsigned type
-//     with no dominating guard proving a >= b. The guard is tracked
-//     path-sensitively through the CFG (cfg.go, dataflow.go), so
+//     whose exact difference the interval engine (interval.go) cannot
+//     bound below by zero. A comparison edge between two keyable
+//     operands records the bounds of their difference, so
 //     `if a < b { return 0 }; return a - b` — the shape of noc.SatSub —
-//     passes, as do guards established by loop conditions, &&-chains,
-//     negations, and tagless switch cases. Bound reasoning is genuine
-//     intervals (factIval in interval.go): x's proven lower bound —
-//     from a constant, a guard fact like `x > 0` (with `x != 0` on an
-//     unsigned x recognized as exactly that, admitting the
-//     bitmask-iteration idiom `for m != 0 { m &= m - 1 }`), or the
-//     shift structure of `1<<k` — at or above y's upper bound proves
-//     the subtraction safe, uniformly covering what used to be
-//     special-cased constant idioms.
+//     passes, as do guards on selectors and indexes, guards established
+//     by loop conditions, &&-chains, negations and tagless switch
+//     cases. The operands' own intervals prove the rest: a constant
+//     bound like `x > 0` (with `x != 0` on an unsigned x recognized as
+//     exactly that, admitting the bitmask-iteration idiom
+//     `for m != 0 { m &= m - 1 }`), a subtraction from the type
+//     maximum, and — a step local to this rule — the positive constant
+//     base of `1<<k` as the shift's lower bound. Assignments, taken
+//     addresses and calls whose effect summary writes an operand's
+//     root all drop the guard.
 //  2. Narrowing conversion: a non-constant 64-bit unsigned value
 //     converted to an integer type narrower than 64 bits ('int' and
 //     'uint' count as 64-bit; the simulator only targets 64-bit
@@ -42,7 +44,7 @@ import (
 // internal/noc (SatSub, SatAdd, SatShl) — their own bodies pass rule 1
 // because they carry the guards the analyzer looks for.
 func CounterSafety(l *Loader, packages []string) ([]Diagnostic, error) {
-	var diags []Diagnostic
+	var pkgs []*Package
 	for _, rel := range packages {
 		ip := l.Module
 		if rel != "" && rel != "." {
@@ -52,20 +54,33 @@ func CounterSafety(l *Loader, packages []string) ([]Diagnostic, error) {
 		if err != nil {
 			return nil, err
 		}
+		pkgs = append(pkgs, pkg)
+	}
+	return counterSafetyWithCG(l, buildCallGraph(l), pkgs), nil
+}
+
+// counterSafetyWithCG is the core shared with the parallel RunAll
+// driver, which runs it as one whole-tree task on the shared call
+// graph: the interval context memoizes return summaries in maps that
+// are not safe for concurrent use.
+func counterSafetyWithCG(l *Loader, cg *callGraph, pkgs []*Package) []Diagnostic {
+	cx, _ := newIvCtx(l, cg) // malformed annotations are valuerange's to report
+	var diags []Diagnostic
+	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			diags = append(diags, counterExprChecks(l, pkg, file)...)
 			for _, body := range functionBodies(file) {
-				diags = append(diags, unguardedSubs(l, pkg, body)...)
+				diags = append(diags, unguardedSubs(cx, pkg, body)...)
 			}
 		}
 	}
-	return diags, nil
+	return diags
 }
 
 // functionBodies returns every function body in the file — declarations
 // and literals — each analyzed as its own CFG. A literal's body sees
-// none of the enclosing function's guard facts (conservative: the
-// literal may run at any time).
+// none of the enclosing function's guards (conservative: the literal
+// may run at any time).
 func functionBodies(file *ast.File) []*ast.BlockStmt {
 	var bodies []*ast.BlockStmt
 	ast.Inspect(file, func(n ast.Node) bool {
@@ -82,79 +97,96 @@ func functionBodies(file *ast.File) []*ast.BlockStmt {
 	return bodies
 }
 
-// unguardedSubs applies rule 1 to one function body: build the CFG,
-// compute must-hold guard facts per block, then replay each block
-// checking every subtraction against the facts in force at that point.
-func unguardedSubs(l *Loader, pkg *Package, body *ast.BlockStmt) []Diagnostic {
-	g := buildCFG(body)
-	in := guardFactsIn(g, pkg.Info)
+// unsignedSub returns the operands of m when it is a rule 1 site: a
+// subtraction or -= assignment on an unsigned type, whose result is not
+// a constant and whose subtrahend is not the constant zero.
+func unsignedSub(pkg *Package, m ast.Node) (x, y ast.Expr, ok bool) {
+	switch m := m.(type) {
+	case *ast.BinaryExpr:
+		if m.Op != token.SUB || constVal(pkg, m) != nil {
+			return nil, nil, false // a constant result is checked by the compiler
+		}
+		x, y = m.X, m.Y
+	case *ast.AssignStmt:
+		if m.Tok != token.SUB_ASSIGN {
+			return nil, nil, false
+		}
+		x, y = m.Lhs[0], m.Rhs[0]
+	default:
+		return nil, nil, false
+	}
+	if t := exprType(pkg, x); t == nil || !isUnsignedInt(t) {
+		return nil, nil, false
+	}
+	if yv := constVal(pkg, y); yv != nil && constant.Sign(yv) == 0 {
+		return nil, nil, false // x - 0
+	}
+	return x, y, true
+}
+
+// unguardedSubs applies rule 1 to one function body. Only bodies that
+// hold a rule 1 site pay for the interval fixpoint; the replay then
+// checks each site against the environment in force just before it.
+func unguardedSubs(cx *ivCtx, pkg *Package, body *ast.BlockStmt) []Diagnostic {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, lit := n.(*ast.FuncLit); lit || found {
+			return false // literals are bodies of their own
+		}
+		if _, _, ok := unsignedSub(pkg, n); ok {
+			found = true
+		}
+		return !found
+	})
+	if !found {
+		return nil
+	}
+	g, in := cx.flowBody(pkg, body)
 	var diags []Diagnostic
 	for _, blk := range g.blocks {
-		fs := in[blk.index]
-		if fs == nil {
+		env := in[blk.index]
+		if env == nil {
 			continue // unreachable
 		}
-		fs = cloneFacts(fs)
+		env = cloneIvEnv(env)
 		for _, n := range blk.nodes {
 			walkNode(n, func(m ast.Node) {
-				switch m := m.(type) {
-				case *ast.BinaryExpr:
-					if m.Op == token.SUB {
-						if d, ok := checkSub(l, pkg, fs, m, m.X, m.Y); ok {
-							diags = append(diags, d)
-						}
-					}
-				case *ast.AssignStmt:
-					if m.Tok == token.SUB_ASSIGN {
-						if d, ok := checkSub(l, pkg, fs, m, m.Lhs[0], m.Rhs[0]); ok {
-							diags = append(diags, d)
-						}
-					}
+				if x, y, ok := unsignedSub(pkg, m); ok && mayWrap(cx, pkg, env, x, y) {
+					xs, ys := types.ExprString(x), types.ExprString(y)
+					file, line := cx.l.Rel(m.Pos())
+					diags = append(diags, Diagnostic{
+						File: file, Line: line, Analyzer: "countersafety",
+						Message: fmt.Sprintf("unsigned subtraction %s - %s may wrap below zero: no dominating %s >= %s guard on some path; guard it or use noc.SatSub",
+							xs, ys, xs, ys),
+					})
 				}
 			})
-			applyNodeKills(fs, n)
+			cx.applyNode(pkg, env, n)
 		}
 	}
 	return diags
 }
 
-// checkSub decides whether the subtraction x - y (at node n) needs a
-// diagnostic given the facts in force.
-func checkSub(l *Loader, pkg *Package, fs factSet, n ast.Node, x, y ast.Expr) (Diagnostic, bool) {
-	t := exprType(pkg, x)
-	if t == nil || !isUnsignedInt(t) {
-		return Diagnostic{}, false
+// mayWrap reports whether the exact difference x − y may fall below
+// zero under env. A left shift of a positive constant base is taken to
+// be at least the base whenever the shift is meaningful (the 1<<k mask
+// idiom); the step stays local to this rule, since valuerange must see
+// the shift's true range.
+func mayWrap(cx *ivCtx, pkg *Package, env ivEnv, xe, ye ast.Expr) bool {
+	x, okX := cx.eval(pkg, env, xe)
+	y, okY := cx.eval(pkg, env, ye)
+	if !okX || !okY {
+		return true
 	}
-	// A constant result is checked by the compiler.
-	if be, ok := n.(ast.Expr); ok && constVal(pkg, be) != nil {
-		return Diagnostic{}, false
+	if sh, ok := unparen(xe).(*ast.BinaryExpr); ok && sh.Op == token.SHL {
+		if bv := constVal(pkg, sh.X); bv != nil {
+			if b := bigFromConst(bv); b != nil && b.Sign() > 0 && b.Cmp(x.lo) > 0 {
+				x = ival{lo: b, hi: x.hi}
+			}
+		}
 	}
-	yv := constVal(pkg, y)
-	if yv != nil && constant.Sign(yv) == 0 {
-		return Diagnostic{}, false // x - 0
-	}
-	xs, ys := types.ExprString(x), types.ExprString(y)
-	// Exact dominating guard: x >= y (or stronger) on every path here.
-	if _, ok := fs[guardFact{a: xs, b: ys}.key()]; ok {
-		return Diagnostic{}, false
-	}
-	// Interval reasoning (interval.go): x's lower bound — from a
-	// constant value, a guard fact like `x > 0`, or the shift-of-a-
-	// positive-base structure of `1<<k` — at or above y's upper bound
-	// proves the subtraction safe. This subsumes the retired
-	// special cases for subtracting from a type maximum, the
-	// `1<<k - 1` mask idiom, and constant-bound guard matching.
-	xiv := factIval(pkg, fs, x)
-	yiv := factIval(pkg, fs, y)
-	if xiv.lo.Cmp(yiv.hi) >= 0 {
-		return Diagnostic{}, false
-	}
-	file, line := l.Rel(n.Pos())
-	return Diagnostic{
-		File: file, Line: line, Analyzer: "countersafety",
-		Message: fmt.Sprintf("unsigned subtraction %s - %s may wrap below zero: no dominating %s >= %s guard on some path; guard it or use noc.SatSub",
-			xs, ys, xs, ys),
-	}, true
+	d := exactSub(pkg, env, xe, ye, x, y)
+	return !d.isBottom() && d.lo.Sign() < 0
 }
 
 // counterExprChecks applies the context-free rules 2-4 to a whole file.
@@ -348,9 +380,4 @@ func bitWidth(t types.Type) int {
 		return 64
 	}
 	return 0
-}
-
-func maxOfWidth(w int) constant.Value {
-	one := constant.MakeInt64(1)
-	return constant.BinaryOp(constant.Shift(one, token.SHL, uint(w)), token.SUB, one)
 }

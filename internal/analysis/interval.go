@@ -11,26 +11,27 @@ import (
 )
 
 // This file is the interval abstract-interpretation engine under the
-// valuerange analyzer (valuerange.go) and the interval arithmetic the
-// countersafety subtraction rule consumes. The domain is classic
-// integer intervals with one repo-specific twist: bounds are always
-// concrete big.Int values ("unknown" is the full range of the
-// expression's machine type, never an open end), so every transfer
-// function is exact integer arithmetic and a result interval is
-// overflow-safe exactly when it is contained in its type's range.
+// valuerange analyzer (valuerange.go) and countersafety's unsigned-
+// subtraction rule (countersafety.go). The domain is classic integer
+// intervals with one repo-specific twist: bounds are always concrete
+// big.Int values ("unknown" is the full range of the expression's
+// machine type, never an open end), so every transfer function is
+// exact integer arithmetic and a result interval is overflow-safe
+// exactly when it is contained in its type's range.
 //
 // The engine layers on the existing per-function CFG (cfg.go): a
 // forward worklist pass propagates an environment of refined intervals
-// per block, comparison edges refine both operands (refineEdge mirrors
-// addEdgeFacts' decomposition of &&/||/! chains), loop heads widen to
-// the type range after a few visits so iteration terminates, and one
-// descending pass narrows the widened loop invariants back where the
-// exit conditions support it. Interprocedural seeding comes from two
-// sides of callgraph.go: //ssvc:range field annotations give declared
-// input intervals at config-struct reads, and per-function return
-// summaries (retIval) carry result intervals and their declared flag
-// across static calls, while effect summaries decide which
-// environment entries a call may invalidate.
+// per block, comparison edges refine both operands and record the
+// bounds of their exact difference (refineEdge decomposes &&/||/!
+// chains), loop heads widen to the type range after a few visits so
+// iteration terminates, and one descending pass narrows the widened
+// loop invariants back where the exit conditions support it.
+// Interprocedural seeding comes from two sides of callgraph.go:
+// //ssvc:range field annotations give declared input intervals at
+// config-struct reads, and per-function return summaries (retIval)
+// carry result intervals and their declared flag across static calls,
+// while effect summaries decide which environment entries a call may
+// invalidate.
 
 // MarkRange declares the trusted value range of a config-struct field
 // on the field's doc or line comment:
@@ -155,7 +156,7 @@ func bigFromConst(v constant.Value) *big.Int {
 // 64-bit (matching bitWidth); type parameters resolve through their
 // constraint (the module's only constraint is noc.Counter, ~uint64).
 func typeIval(t types.Type) (ival, bool) {
-	if t == nil || !isIntegerKind(t) {
+	if t == nil || !isInteger(t) {
 		return ival{}, false
 	}
 	w := bitWidth(t)
@@ -172,20 +173,6 @@ func typeIval(t types.Type) (ival, bool) {
 	lo := new(big.Int).Neg(hi)
 	hi = new(big.Int).Sub(hi, one)
 	return ival{lo: lo, hi: hi}, true
-}
-
-// isIntegerKind reports whether t is any integer type, signed or
-// unsigned, including all-unsigned type parameters. (isInteger in
-// countersafety.go deliberately restricts type parameters to unsigned
-// constraints; this helper shares that behavior via bitWidth's
-// 64-bit type-parameter rule.)
-func isIntegerKind(t types.Type) bool {
-	t = types.Unalias(t)
-	if tp, ok := t.(*types.TypeParam); ok {
-		return typeParamAllUnsigned(tp)
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
 }
 
 // Exact transfer functions over ℤ. None clamp to a machine type; the
@@ -421,21 +408,27 @@ func flipCmp(op token.Token) token.Token {
 }
 
 // ---------------------------------------------------------------------
-// Environment: refined intervals per expression, keyed like guard
-// facts by types.ExprString, with the same kill discipline.
+// Environment: refined intervals per expression, keyed by
+// types.ExprString, plus difference entries keyed by operand pair.
 
 // ivEntry is one refined binding. def is the key's context-free
 // default (annotation or type range), joined back in when a merge sees
-// the key on only one side; idents mirrors guardFact.idents for kills.
+// the key on only one side; idents names every identifier the key
+// mentions, so assigning any of them kills the entry. A diff entry
+// bounds the exact difference x − y over ℤ of a pair guarded by a
+// comparison (see diffKey); it has no machine type, and a merge that
+// sees it on only one side drops it.
 type ivEntry struct {
 	iv     ival
 	def    ival
 	t      types.Type
 	idents map[string]bool
+	diff   bool
 }
 
-// ivEnv maps types.ExprString keys to refined intervals. nil means
-// block not yet visited (distinct from the empty environment).
+// ivEnv maps types.ExprString keys, and diffKey pair keys, to refined
+// intervals. nil means block not yet visited (distinct from the empty
+// environment).
 type ivEnv map[string]ivEntry
 
 func cloneIvEnv(env ivEnv) ivEnv {
@@ -448,19 +441,23 @@ func cloneIvEnv(env ivEnv) ivEnv {
 
 // joinIvEnv merges two path environments. A key on one side only joins
 // with its own default — absence means "no refinement", which the
-// evaluator resolves to exactly that default.
+// evaluator resolves to exactly that default. A one-sided diff entry is
+// dropped: its pair falls back to the difference of the two operand
+// intervals.
 func joinIvEnv(a, b ivEnv) ivEnv {
 	out := make(ivEnv, len(a))
 	for k, ea := range a {
 		if eb, ok := b[k]; ok {
 			ea.iv = ivJoin(ea.iv, eb.iv)
+		} else if ea.diff {
+			continue
 		} else {
 			ea.iv = ivJoin(ea.iv, ea.def)
 		}
 		out[k] = ea
 	}
 	for k, eb := range b {
-		if _, ok := a[k]; ok {
+		if _, ok := a[k]; ok || eb.diff {
 			continue
 		}
 		eb.iv = ivJoin(eb.iv, eb.def)
@@ -483,7 +480,7 @@ func ivEnvEqual(a, b ivEnv) bool {
 }
 
 // widenIvEnv widens prev toward merged, entry-wise against each
-// entry's type range.
+// entry's type range (a diff entry's default, which has no type).
 func widenIvEnv(prev, merged ivEnv) ivEnv {
 	out := make(ivEnv, len(merged))
 	for k, em := range merged {
@@ -516,8 +513,7 @@ func narrowIvEnv(widened, recomputed ivEnv) ivEnv {
 	return out
 }
 
-// killIvIdents drops entries mentioning any of the names (the ivEnv
-// side of applyNodeKills' fact discipline).
+// killIvIdents drops entries mentioning any of the names.
 func killIvIdents(env ivEnv, names map[string]bool) {
 	if len(names) == 0 {
 		return
@@ -723,6 +719,48 @@ func setEntry(pkg *Package, env ivEnv, e ast.Expr, iv, def ival, t types.Type) {
 	env[types.ExprString(e)] = ivEntry{iv: iv, def: def, t: t, idents: ids}
 }
 
+// diffKey is the pair key under which the environment bounds the exact
+// difference x − y. Both sides must be keyable, non-constant integer
+// expressions (a constant side is the operand's own interval). The key
+// names the pair in a canonical order, so `a < b` and `b > a` share an
+// entry; swapped reports that the entry stores y − x instead. NUL never
+// occurs in an ExprString, so pair keys cannot collide with the
+// expression keys, whose entries hold wrapped machine values.
+func diffKey(pkg *Package, x, y ast.Expr) (key string, swapped, ok bool) {
+	x, y = unparen(x), unparen(y)
+	for _, e := range []ast.Expr{x, y} {
+		if constVal(pkg, e) != nil || !keyableExpr(pkg, e) {
+			return "", false, false
+		}
+		if t := exprType(pkg, e); t == nil || !isInteger(t) {
+			return "", false, false
+		}
+	}
+	xs, ys := types.ExprString(x), types.ExprString(y)
+	if xs > ys {
+		return ys + "\x00" + xs, true, true
+	}
+	return xs + "\x00" + ys, false, true
+}
+
+// exactSub bounds x − y over ℤ, given the operands' intervals: interval
+// subtraction met with the pair's difference entry, if a guard left one.
+func exactSub(pkg *Package, env ivEnv, xe, ye ast.Expr, x, y ival) ival {
+	d := ivSub(x, y)
+	k, swapped, ok := diffKey(pkg, xe, ye)
+	if !ok {
+		return d
+	}
+	ent, ok := env[k]
+	if !ok {
+		return d
+	}
+	if swapped {
+		return ivMeet(d, ivNeg(ent.iv))
+	}
+	return ivMeet(d, ent.iv)
+}
+
 // eval computes the abstract value of an integer expression under env.
 // ok is false for non-integer expressions (and for type parameters
 // outside the all-unsigned constraint the module uses).
@@ -738,7 +776,7 @@ func (cx *ivCtx) eval(pkg *Package, env ivEnv, e ast.Expr) (ival, bool) {
 		}
 		return ival{}, false
 	}
-	if t == nil || !isIntegerKind(t) {
+	if t == nil || !isInteger(t) {
 		return ival{}, false
 	}
 	tb, okT := typeIval(t)
@@ -799,7 +837,7 @@ func (cx *ivCtx) evalBinary(pkg *Package, env ivEnv, op token.Token, xe, ye ast.
 	case token.ADD:
 		r = ivAdd(x, y)
 	case token.SUB:
-		r = ivSub(x, y)
+		r = exactSub(pkg, env, xe, ye, x, y)
 	case token.MUL:
 		r = ivMul(x, y)
 	case token.QUO:
@@ -1060,9 +1098,8 @@ func (cx *ivCtx) flowBody(pkg *Package, body *ast.BlockStmt) (*cfgGraph, []ivEnv
 }
 
 // applyNode advances the environment across one CFG node: evaluate
-// effects, kill what the node may invalidate (mirroring
-// applyNodeKills, plus effect-summary-guided kills at call sites), and
-// store new bindings for keyable integer targets.
+// effects, kill what the node may invalidate (killNode), and store new
+// bindings for keyable integer targets.
 func (cx *ivCtx) applyNode(pkg *Package, env ivEnv, n ast.Node) {
 	switch s := n.(type) {
 	case *ast.AssignStmt:
@@ -1072,7 +1109,7 @@ func (cx *ivCtx) applyNode(pkg *Package, env ivEnv, n ast.Node) {
 		t := exprType(pkg, s.X)
 		var val ival
 		okVal := false
-		if t != nil && isIntegerKind(t) {
+		if t != nil && isInteger(t) {
 			if tb, okT := typeIval(t); okT {
 				if x, ok := cx.eval(pkg, env, s.X); ok {
 					one := mkIval(1, 1)
@@ -1112,7 +1149,7 @@ func (cx *ivCtx) applyNode(pkg *Package, env ivEnv, n ast.Node) {
 			}
 			for i, name := range vs.Names {
 				obj, _ := pkg.Info.Defs[name].(*types.Var)
-				if obj == nil || !isIntegerKind(obj.Type()) {
+				if obj == nil || !isInteger(obj.Type()) {
 					continue
 				}
 				b := binding{id: name, t: obj.Type()}
@@ -1139,14 +1176,14 @@ func (cx *ivCtx) applyNode(pkg *Package, env ivEnv, n ast.Node) {
 		var keyIv ival
 		keyOK := false
 		if s.Key != nil {
-			if t := exprType(pkg, s.Key); t != nil && isIntegerKind(t) {
+			if t := exprType(pkg, s.Key); t != nil && isInteger(t) {
 				tb, okT := typeIval(t)
 				if !okT {
 					cx.killNode(pkg, env, n)
 					return
 				}
 				keyIv, keyOK = ival{lo: big.NewInt(0), hi: tb.hi}, true
-				if xt := exprType(pkg, s.X); xt != nil && isIntegerKind(xt) {
+				if xt := exprType(pkg, s.X); xt != nil && isInteger(xt) {
 					// range-over-int: key in [0, n-1].
 					if xv, ok := cx.eval(pkg, env, s.X); ok {
 						hi := new(big.Int).Sub(xv.hi, big.NewInt(1))
@@ -1200,7 +1237,7 @@ func (cx *ivCtx) applyAssign(pkg *Package, env ivEnv, s *ast.AssignStmt) {
 						}
 					}
 				}
-				if t == nil || !isIntegerKind(t) {
+				if t == nil || !isInteger(t) {
 					continue
 				}
 				iv, ok := cx.eval(pkg, env, s.Rhs[i])
@@ -1214,37 +1251,14 @@ func (cx *ivCtx) applyAssign(pkg *Package, env ivEnv, s *ast.AssignStmt) {
 		}
 	default:
 		// Compound assignment: lhs op= rhs.
-		var op token.Token
-		switch s.Tok {
-		case token.ADD_ASSIGN:
-			op = token.ADD
-		case token.SUB_ASSIGN:
-			op = token.SUB
-		case token.MUL_ASSIGN:
-			op = token.MUL
-		case token.QUO_ASSIGN:
-			op = token.QUO
-		case token.REM_ASSIGN:
-			op = token.REM
-		case token.SHL_ASSIGN:
-			op = token.SHL
-		case token.SHR_ASSIGN:
-			op = token.SHR
-		case token.AND_ASSIGN:
-			op = token.AND
-		case token.OR_ASSIGN:
-			op = token.OR
-		case token.XOR_ASSIGN:
-			op = token.XOR
-		case token.AND_NOT_ASSIGN:
-			op = token.AND_NOT
-		default:
+		op, ok := assignOp(s.Tok)
+		if !ok {
 			cx.killNode(pkg, env, s)
 			return
 		}
 		lhs := s.Lhs[0]
 		t := exprType(pkg, lhs)
-		if t != nil && isIntegerKind(t) {
+		if t != nil && isInteger(t) {
 			iv, ok := cx.evalBinary(pkg, env, op, lhs, s.Rhs[0], t)
 			binds = append(binds, binding{lhs: lhs, iv: iv, t: t, okV: ok})
 		}
@@ -1260,12 +1274,22 @@ func (cx *ivCtx) applyAssign(pkg *Package, env ivEnv, s *ast.AssignStmt) {
 	}
 }
 
-// killNode drops the entries a node may invalidate: assigned roots,
-// range variables, declared names, address-taken identifiers (all
-// mirroring applyNodeKills), plus — the effect-summary refinement —
-// anything rooted at a pointer-carrying argument of a call whose
-// callee may write through that parameter. A callee whose summary
-// proves it writes no parameter kills nothing.
+// assignOp maps a compound assignment token (+=, &^=, ...) to the
+// binary operator it applies. go/token declares the two runs in the
+// same order, as go/types relies on too.
+func assignOp(tok token.Token) (token.Token, bool) {
+	if token.ADD_ASSIGN <= tok && tok <= token.AND_NOT_ASSIGN {
+		return tok + (token.ADD - token.ADD_ASSIGN), true
+	}
+	return token.ILLEGAL, false
+}
+
+// killNode drops the entries a node may invalidate: assigned roots
+// (everything, when a target has no identifier root), range variables,
+// declared names, address-taken identifiers, plus — the effect-summary
+// refinement — anything rooted at a pointer-carrying argument or
+// receiver of a call whose callee may write through that parameter. A
+// callee whose summary proves it writes no parameter kills nothing.
 func (cx *ivCtx) killNode(pkg *Package, env ivEnv, n ast.Node) {
 	names := map[string]bool{}
 	killAll := false
@@ -1323,9 +1347,13 @@ func (cx *ivCtx) callKillNames(pkg *Package, call *ast.CallExpr, names map[strin
 		return // conversion
 	}
 	var exprs []ast.Expr
+	recvByRef := false // a pointer method on an addressable value takes &x
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
 			exprs = append(exprs, sel.X)
+			if sig, ok := s.Obj().Type().(*types.Signature); ok && sig.Recv() != nil {
+				_, recvByRef = sig.Recv().Type().(*types.Pointer)
+			}
 		}
 	}
 	exprs = append(exprs, call.Args...)
@@ -1336,7 +1364,8 @@ func (cx *ivCtx) callKillNames(pkg *Package, call *ast.CallExpr, names map[strin
 	}
 	for j, a := range exprs {
 		t := exprType(pkg, a)
-		if t == nil || !indirectType(t.Underlying()) {
+		byRef := j == 0 && recvByRef || t != nil && indirectType(t.Underlying())
+		if !byRef {
 			continue // value argument: callee writes stay in its copy
 		}
 		if sum != nil && j < len(sum.writesParam) && !sum.writesParam[j] {
@@ -1346,10 +1375,10 @@ func (cx *ivCtx) callKillNames(pkg *Package, call *ast.CallExpr, names map[strin
 	}
 }
 
-// refineEdge refines the environment along one branch edge, mirroring
-// addEdgeFacts' condition decomposition: true conjunctions and false
-// disjunctions recurse into both operands, negation flips the edge,
-// comparisons refine both sides.
+// refineEdge refines the environment along one branch edge: true
+// conjunctions and false disjunctions recurse into both operands,
+// negation flips the edge, comparisons refine both sides and their
+// difference.
 func (cx *ivCtx) refineEdge(pkg *Package, env ivEnv, cond ast.Expr, branch bool) {
 	switch c := unparen(cond).(type) {
 	case *ast.UnaryExpr:
@@ -1378,7 +1407,8 @@ func (cx *ivCtx) refineEdge(pkg *Package, env ivEnv, cond ast.Expr, branch bool)
 	}
 }
 
-// refineCompare narrows both operands of `x op y` known to hold.
+// refineCompare narrows both operands of `x op y` known to hold, and
+// records that their exact difference satisfies (x − y) op 0.
 func (cx *ivCtx) refineCompare(pkg *Package, env ivEnv, xe, ye ast.Expr, op token.Token) {
 	x, okX := cx.eval(pkg, env, xe)
 	y, okY := cx.eval(pkg, env, ye)
@@ -1387,6 +1417,31 @@ func (cx *ivCtx) refineCompare(pkg *Package, env ivEnv, xe, ye ast.Expr, op toke
 	}
 	cx.storeRefined(pkg, env, xe, refineLeft(op, x, y))
 	cx.storeRefined(pkg, env, ye, refineLeft(flipCmp(op), y, x))
+	storeDiff(pkg, env, xe, ye, op, x, y)
+}
+
+// storeDiff records the difference entry for a comparison `x op y`
+// known to hold between keyable operands with intervals x and y.
+func storeDiff(pkg *Package, env ivEnv, xe, ye ast.Expr, op token.Token, x, y ival) {
+	k, swapped, ok := diffKey(pkg, xe, ye)
+	if !ok {
+		return
+	}
+	cur := exactSub(pkg, env, xe, ye, x, y)
+	d := refineLeft(op, cur, mkIval(0, 0))
+	if d.eq(cur) {
+		return
+	}
+	tx, _ := typeIval(exprType(pkg, xe))
+	ty, _ := typeIval(exprType(pkg, ye))
+	def := ivSub(tx, ty)
+	if swapped {
+		d, def = ivNeg(d), ivNeg(def)
+	}
+	ids := map[string]bool{}
+	collectIdents(xe, ids)
+	collectIdents(ye, ids)
+	env[k] = ivEntry{iv: d, def: def, idents: ids, diff: true}
 }
 
 // storeRefined records a refinement for a keyable non-constant
@@ -1397,7 +1452,7 @@ func (cx *ivCtx) storeRefined(pkg *Package, env ivEnv, e ast.Expr, iv ival) {
 		return
 	}
 	t := exprType(pkg, e)
-	if t == nil || !isIntegerKind(t) {
+	if t == nil || !isInteger(t) {
 		return
 	}
 	cur, ok := cx.eval(pkg, env, e)
@@ -1407,54 +1462,4 @@ func (cx *ivCtx) storeRefined(pkg *Package, env ivEnv, e ast.Expr, iv ival) {
 	if def, ok := cx.defaultIval(pkg, e, t); ok {
 		setEntry(pkg, env, e, iv, def, t)
 	}
-}
-
-// ---------------------------------------------------------------------
-// factIval: the lightweight interval constructor countersafety's
-// subtraction rule uses in place of its retired const-bound special
-// cases. It consults constants, type ranges, and the guard-fact lower
-// bounds already proven by the must-dataflow pass — no CFG fixpoint of
-// its own, so rule 1 stays cheap at module scope.
-
-func factIval(pkg *Package, fs factSet, e ast.Expr) ival {
-	if cv := constVal(pkg, e); cv != nil {
-		if b := bigFromConst(cv); b != nil {
-			return ival{lo: b, hi: b}
-		}
-	}
-	t := exprType(pkg, e)
-	iv, ok := typeIval(t)
-	if !ok {
-		// No type information: the caller only compares bounds, so an
-		// unconstrained interval is the safe answer.
-		w := new(big.Int).Lsh(big.NewInt(1), 64)
-		return ival{lo: new(big.Int).Neg(w), hi: w}
-	}
-	// Guard facts carry constant lower bounds: x >= c (or x > c).
-	key := types.ExprString(e)
-	for _, f := range fs {
-		if f.a != key || f.bVal == nil {
-			continue
-		}
-		b := bigFromConst(f.bVal)
-		if b == nil {
-			continue
-		}
-		if f.strict {
-			b = new(big.Int).Add(b, big.NewInt(1))
-		}
-		if b.Cmp(iv.lo) > 0 {
-			iv = ival{lo: b, hi: iv.hi, declared: iv.declared}
-		}
-	}
-	// A left shift of a positive constant base is at least the base
-	// whenever the shift is meaningful (the 1<<k mask idiom).
-	if sh, ok := unparen(e).(*ast.BinaryExpr); ok && sh.Op == token.SHL {
-		if bv := constVal(pkg, sh.X); bv != nil {
-			if b := bigFromConst(bv); b != nil && b.Sign() > 0 && b.Cmp(iv.lo) > 0 {
-				iv = ival{lo: b, hi: iv.hi, declared: iv.declared}
-			}
-		}
-	}
-	return iv
 }

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"math/big"
@@ -279,6 +281,173 @@ func TestCmpHelpers(t *testing.T) {
 	for op, want := range flip {
 		if got := flipCmp(op); got != want {
 			t.Fatalf("flipCmp(%v) = %v, want %v", op, got, want)
+		}
+	}
+}
+
+// diffSrc is the snippet the difference-entry tests run on: diffExpr
+// picks a comparison or subtraction out of f's body, and its last two
+// statements are the kills. uint8 keeps the bounds short.
+const diffSrc = `package p
+
+func f(a, b uint8) {
+	_ = a < b
+	_ = b >= a
+	_ = a > b
+	_ = a - b
+	a = 3
+	b = 3
+}
+`
+
+// snippet type-checks one import-free Go file and returns it as a
+// Package together with the body of its function f.
+func snippet(t *testing.T, src string) (*Package, *ast.BlockStmt) {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	tp, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "f" {
+			return &Package{ImportPath: "p", Files: []*ast.File{f}, Types: tp, Info: info}, fd.Body
+		}
+	}
+	t.Fatal("snippet has no func f")
+	return nil, nil
+}
+
+// diffExpr returns the right-hand side of the `_ = expr` statement i.
+func diffExpr(body *ast.BlockStmt, i int) ast.Expr {
+	return body.List[i].(*ast.AssignStmt).Rhs[0]
+}
+
+// wantDiff checks the exact difference x − y the environment proves.
+func wantDiff(t *testing.T, name string, pkg *Package, env ivEnv, x, y ast.Expr, want ival) {
+	t.Helper()
+	full := mkIval(0, 255)
+	wantIval(t, name, exactSub(pkg, env, x, y, full, full), want)
+}
+
+func TestDiffEntryEdges(t *testing.T) {
+	pkg, body := snippet(t, diffSrc)
+	cx := &ivCtx{}
+	lt := diffExpr(body, 0).(*ast.BinaryExpr) // a < b
+	ge := diffExpr(body, 1)                   // b >= a
+	a, b := lt.X, lt.Y
+	for _, c := range []struct {
+		name   string
+		cond   ast.Expr
+		branch bool
+		ab     ival // bounds of a − b on the edge
+	}{
+		{"a < b", lt, true, mkIval(-255, -1)},
+		{"!(a < b)", lt, false, mkIval(0, 255)},
+		{"b >= a", ge, true, mkIval(-255, 0)},
+		{"!(b >= a)", ge, false, mkIval(1, 255)},
+	} {
+		env := ivEnv{}
+		cx.refineEdge(pkg, env, c.cond, c.branch)
+		wantDiff(t, c.name+": a - b", pkg, env, a, b, c.ab)
+		wantDiff(t, c.name+": b - a", pkg, env, b, a, ivNeg(c.ab))
+		if _, ok := env["a - b"]; ok {
+			t.Fatalf("%s: difference stored under the expression key", c.name)
+		}
+	}
+
+	// Both spellings of one guard share the pair's entry.
+	env := ivEnv{}
+	cx.refineEdge(pkg, env, lt, true)
+	cx.refineEdge(pkg, env, ge, true)
+	n := 0
+	for _, e := range env {
+		if e.diff {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("a < b and b >= a left %d diff entries, want 1", n)
+	}
+}
+
+func TestDiffEntryJoin(t *testing.T) {
+	pkg, body := snippet(t, diffSrc)
+	cx := &ivCtx{}
+	lt, gt := diffExpr(body, 0), diffExpr(body, 2) // a < b, a > b
+	a, b := lt.(*ast.BinaryExpr).X, lt.(*ast.BinaryExpr).Y
+
+	guarded := ivEnv{}
+	cx.refineEdge(pkg, guarded, lt, true)
+	for _, j := range []ivEnv{joinIvEnv(guarded, ivEnv{}), joinIvEnv(ivEnv{}, guarded)} {
+		for k, e := range j {
+			if e.diff {
+				t.Fatalf("one-sided diff entry %q survived the join", k)
+			}
+		}
+		wantDiff(t, "one-sided join", pkg, j, a, b, mkIval(-255, 255))
+	}
+
+	other := ivEnv{}
+	cx.refineEdge(pkg, other, gt, true)
+	wantDiff(t, "two-sided join", pkg, joinIvEnv(guarded, other), a, b, mkIval(-255, 255))
+	wantDiff(t, "two-sided join of one guard", pkg, joinIvEnv(guarded, cloneIvEnv(guarded)), a, b, mkIval(-255, -1))
+}
+
+func TestDiffEntryKill(t *testing.T) {
+	pkg, body := snippet(t, diffSrc)
+	cx := &ivCtx{}
+	lt := diffExpr(body, 0).(*ast.BinaryExpr) // a < b
+	for _, i := range []int{4, 5} {           // a = 3, b = 3
+		env := ivEnv{}
+		cx.refineEdge(pkg, env, lt, true)
+		cx.applyNode(pkg, env, body.List[i])
+		for k, e := range env {
+			if e.diff {
+				t.Fatalf("%s left diff entry %q", types.ExprString(body.List[i].(*ast.AssignStmt).Lhs[0]), k)
+			}
+		}
+	}
+}
+
+func TestEvalSubMeetsDiff(t *testing.T) {
+	pkg, body := snippet(t, diffSrc)
+	cx := &ivCtx{}
+	sub := diffExpr(body, 3) // a - b
+	env := ivEnv{}
+	got, _ := cx.eval(pkg, env, sub)
+	wantIval(t, "a - b unguarded", got, mkIval(0, 255))
+	cx.refineEdge(pkg, env, diffExpr(body, 2), true) // a > b
+	got, _ = cx.eval(pkg, env, sub)
+	wantIval(t, "a - b under a > b", got, mkIval(1, 255))
+}
+
+func TestAssignOp(t *testing.T) {
+	for tok, want := range map[token.Token]token.Token{
+		token.ADD_ASSIGN: token.ADD, token.SUB_ASSIGN: token.SUB,
+		token.MUL_ASSIGN: token.MUL, token.QUO_ASSIGN: token.QUO,
+		token.REM_ASSIGN: token.REM, token.AND_ASSIGN: token.AND,
+		token.OR_ASSIGN: token.OR, token.XOR_ASSIGN: token.XOR,
+		token.SHL_ASSIGN: token.SHL, token.SHR_ASSIGN: token.SHR,
+		token.AND_NOT_ASSIGN: token.AND_NOT,
+	} {
+		if got, ok := assignOp(tok); !ok || got != want {
+			t.Fatalf("assignOp(%v) = %v, %v; want %v", tok, got, ok, want)
+		}
+	}
+	for _, tok := range []token.Token{token.ASSIGN, token.DEFINE, token.INC, token.ADD} {
+		if _, ok := assignOp(tok); ok {
+			t.Fatalf("assignOp(%v) accepted a non-compound token", tok)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// RunAll executes the ten analyzers over the module rooted at root
+// RunAll executes the nine analyzers over the module rooted at root
 // with the repository's default rules, filters the result through the
 // allowlist (nil for none), and returns the surviving diagnostics
 // sorted. This is the single entry point shared by cmd/ssvc-lint and
@@ -16,9 +16,10 @@ import (
 // `go build`) runs on its own goroutine with its own Loader from the
 // start; the main Loader serially type-checks every module package
 // once (the Loader is not safe for concurrent use) and builds the one
-// call graph all four interprocedural analyzers share; then the
-// per-package analyzers fan out package-by-package on a worker pool
-// alongside the whole-tree ones. Results are reassembled in a fixed
+// call graph that countersafety and the three interprocedural
+// analyzers share; then the per-package analyzers fan out
+// package-by-package on a worker pool alongside the whole-tree ones
+// (countersafety, durability, valuerange, taint). Results are reassembled in a fixed
 // task order and sorted, so the output is byte-identical to the
 // serial runner's.
 func RunAll(root string, allow *Allowlist) ([]Diagnostic, error) {
@@ -100,9 +101,6 @@ func RunAll(root string, allow *Allowlist) ([]Diagnostic, error) {
 	perPackage(RecyclePackages, func(rel string) ([]Diagnostic, error) {
 		return Recycle(l, []string{rel}, RecycleSources)
 	})
-	perPackage(allRels, func(rel string) ([]Diagnostic, error) {
-		return CounterSafety(l, []string{rel})
-	})
 	units, err := UnitsPackages(l)
 	if err != nil {
 		return nil, err
@@ -111,6 +109,7 @@ func RunAll(root string, allow *Allowlist) ([]Diagnostic, error) {
 		return Units(l, []string{rel})
 	})
 	tasks = append(tasks,
+		func() ([]Diagnostic, error) { return counterSafetyWithCG(l, cg, pkgsOf(allRels)), nil },
 		func() ([]Diagnostic, error) { return durabilityWithCG(l, cg, pkgsOf(DurabilityPackages)) },
 		func() ([]Diagnostic, error) { return valueRangeWithCG(l, cg, pkgsOf(ValueRangePackages)) },
 		func() ([]Diagnostic, error) { return taintWithCG(l, cg, pkgsOf(TaintPackages)) },

@@ -746,7 +746,7 @@ func (tc *taintCtx) applyCall(st taintState, call *ast.CallExpr) {
 		if tc.reporting && !tc.curBarrier && len(call.Args) == 1 {
 			dst := exprType(pkg, call)
 			src := exprType(pkg, call.Args[0])
-			if dst != nil && src != nil && isIntegerKind(dst) {
+			if dst != nil && src != nil && isInteger(dst) {
 				if b, ok := src.Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 &&
 					tc.resolve(tc.taintOf(st, call.Args[0])) {
 					tc.report(call, "untrusted float converted to %s without a //ssvc:barrier clamp: out-of-range values convert platform-dependently", dst)

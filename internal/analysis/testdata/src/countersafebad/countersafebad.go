@@ -324,3 +324,78 @@ func DeadGE(x uint64) bool {
 func DeadMirror(x uint64) bool {
 	return 0 > x // want:countersafety
 }
+
+// quota carries a counter pair guarded through selectors and indexes,
+// the shapes of SSVC.Tick and Collector.Window.
+type quota struct {
+	aux            []uint64
+	quantum        uint64
+	End, Warmup    uint64
+	used, capacity uint64
+}
+
+// IndexGuard: a guard on an indexed minuend and a selector subtrahend.
+func (s *quota) IndexGuard(i int) {
+	if s.aux[i] > s.quantum {
+		s.aux[i] -= s.quantum
+	}
+}
+
+// IndexGuardOther: the guard covers s.aux[i], not s.aux[j].
+func (s *quota) IndexGuardOther(i, j int) {
+	if s.aux[i] > s.quantum {
+		s.aux[j] -= s.quantum // want:countersafety
+	}
+}
+
+// SelectorEarlyReturn: both operands are selectors.
+func (s *quota) SelectorEarlyReturn() uint64 {
+	if s.End <= s.Warmup {
+		return 0
+	}
+	return s.End - s.Warmup
+}
+
+// EqualGuard: an equality proves the difference is exactly zero.
+func EqualGuard(a, b uint64) uint64 {
+	if a == b {
+		return a - b
+	}
+	return 0
+}
+
+// bump writes its receiver.
+func (s *quota) bump() { s.used++ }
+
+// peek reads its receiver and writes nothing.
+func (s *quota) peek() uint64 { return s.used }
+
+// ReceiverKill: a pointer-receiver method that writes its receiver runs
+// between the guard and the subtraction, so the guard no longer holds.
+func ReceiverKill(s *quota) uint64 {
+	if s.capacity >= s.used {
+		s.bump()
+		return s.capacity - s.used // want:countersafety
+	}
+	return 0
+}
+
+// ReceiverKillByValue: the same write through the implicit &q a
+// pointer method takes on an addressable value.
+func ReceiverKillByValue(q quota) uint64 {
+	if q.capacity >= q.used {
+		q.bump()
+		return q.capacity - q.used // want:countersafety
+	}
+	return 0
+}
+
+// ReceiverReadOnly: a method whose effect summary writes nothing keeps
+// the guard.
+func ReceiverReadOnly(s *quota) uint64 {
+	if s.capacity >= s.used {
+		_ = s.peek()
+		return s.capacity - s.used
+	}
+	return 0
+}

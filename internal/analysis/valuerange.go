@@ -142,22 +142,6 @@ func (vc *vrChecker) checkBody(body *ast.BlockStmt, barrier bool) {
 	}
 }
 
-// compoundOp maps an assignment token to the binary operation it
-// applies, for the tokens check 1 covers.
-func compoundOp(tok token.Token) (token.Token, bool) {
-	switch tok {
-	case token.ADD_ASSIGN:
-		return token.ADD, true
-	case token.SUB_ASSIGN:
-		return token.SUB, true
-	case token.MUL_ASSIGN:
-		return token.MUL, true
-	case token.SHL_ASSIGN:
-		return token.SHL, true
-	}
-	return token.ILLEGAL, false
-}
-
 func (vc *vrChecker) checkNode(env ivEnv, m ast.Node) {
 	switch m := m.(type) {
 	case *ast.BinaryExpr:
@@ -169,7 +153,7 @@ func (vc *vrChecker) checkNode(env ivEnv, m ast.Node) {
 			vc.checkArith(m.Pos(), env, m.Op, exprType(vc.pkg, m), m.X, m.Y)
 		}
 	case *ast.AssignStmt:
-		if op, ok := compoundOp(m.Tok); ok {
+		if op, ok := assignOp(m.Tok); ok {
 			vc.checkArith(m.Pos(), env, op, exprType(vc.pkg, m.Lhs[0]), m.Lhs[0], m.Rhs[0])
 			return
 		}
@@ -206,7 +190,7 @@ func (vc *vrChecker) checkNode(env ivEnv, m ast.Node) {
 
 // checkArith applies check 1 to one arithmetic site.
 func (vc *vrChecker) checkArith(pos token.Pos, env ivEnv, op token.Token, t types.Type, xe, ye ast.Expr) {
-	if t == nil || !isIntegerKind(t) {
+	if t == nil || !isInteger(t) {
 		return
 	}
 	tb, okT := typeIval(t)
@@ -267,7 +251,7 @@ func (vc *vrChecker) checkConversion(env ivEnv, call *ast.CallExpr) {
 		}
 		return
 	}
-	if !isIntegerKind(srcT) {
+	if !isInteger(srcT) {
 		return
 	}
 	x, ok := vc.cx.eval(vc.pkg, env, arg)
