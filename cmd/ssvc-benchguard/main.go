@@ -35,6 +35,7 @@ var guarded = map[string]string{
 	"BenchmarkComposeCycleRecycled": "./internal/compose/",
 	"BenchmarkBitplaneArbitrate":    "./internal/core/",
 	"BenchmarkCtlPlaneIdle":         "./internal/ctlplane/",
+	"BenchmarkCtlPlaneChurned":      "./internal/ctlplane/",
 }
 
 // metric is one benchmark result (or baseline entry). Only the

@@ -179,27 +179,12 @@ type PlaneStats struct {
 	Revoked        uint64 // reservations revoked by policy or fail-stop
 }
 
-// flowKey identifies a reservation's flow for delivery dispatch.
-type flowKey struct {
-	src, dst int
-	class    noc.Class
-}
-
-// valve wraps a reservation's generator so revocation and lease expiry
-// can silence it in place: the fabric's source set has no removal
-// operation, so a dead flow stays attached with its generator shut off
-// (any packets already queued drain at whatever priority the zeroed
-// Vtick leaves them — best effort).
-type valve struct {
-	gen traffic.Generator
-	off bool
-}
-
-func (v *valve) Tick(now noc.Cycle, queued int) *noc.Packet {
-	if v.off {
-		return nil
-	}
-	return v.gen.Tick(now, queued)
+// feedbackEntry routes a reservation's deliveries back to its
+// closed-loop source: the source to credit and its flow index on the
+// switch, whose generation must be re-armed after the credit.
+type feedbackEntry struct {
+	cl   *traffic.ClosedLoop
+	flow int
 }
 
 // leaseEntry schedules a deterministic expiry.
@@ -271,9 +256,13 @@ type Plane struct {
 	seqNo  uint64    // journaled command sequence
 	snapAt noc.Cycle // next snapshot cycle (grid multiple of SnapEvery)
 
-	leases   leaseHeap
-	valves   map[uint64]*valve
-	feedback map[flowKey]*traffic.ClosedLoop
+	leases leaseHeap
+	flowOf map[uint64]int // live reservation id -> switch flow index
+	// feedback is indexed [src][dst*noc.NumClasses+class]; a row is
+	// allocated on the first closed-loop reservation from its input.
+	// Admission forbids two live reservations on one (src, dst, class),
+	// so a slot holds at most one source.
+	feedback [][]feedbackEntry
 	vtArena  []noc.VTime
 
 	traceHash uint64
@@ -313,7 +302,6 @@ func New(cfg SimConfig) (*Plane, error) {
 		BEBufferFlits: cfg.BEBufferFlits,
 		GLBufferFlits: cfg.GLBufferFlits,
 		GBBufferFlits: cfg.GBBufferFlits,
-		DynamicFlows:  true,
 	}, func(output int) arb.Arbiter {
 		c := arbCfg
 		c.Vticks = make([]core.VTime, cfg.Radix)
@@ -327,8 +315,8 @@ func New(cfg SimConfig) (*Plane, error) {
 		sw:        sw,
 		tab:       tab,
 		snapAt:    cfg.SnapEvery, // first checkpoint one cadence in
-		valves:    make(map[uint64]*valve),
-		feedback:  make(map[flowKey]*traffic.ClosedLoop),
+		flowOf:    make(map[uint64]int),
+		feedback:  make([][]feedbackEntry, cfg.Radix),
 		vtArena:   make([]noc.VTime, cfg.Radix),
 		traceHash: traceSeed,
 	}
@@ -405,7 +393,8 @@ const (
 func mix(h, v uint64) uint64 { return (h ^ v) * tracePrime }
 
 // deliverHook digests every delivery, feeds closed-loop sources their
-// completions, and chains the external observer. It runs inside the
+// completions (re-arming their generation, which the completion may
+// have moved), and chains the external observer. It runs inside the
 // engine's cycle loop, so it must not allocate.
 func (p *Plane) deliverHook(pkt *noc.Packet) {
 	p.delivered++
@@ -419,8 +408,11 @@ func (p *Plane) deliverHook(pkt *noc.Packet) {
 	h = mix(h, pkt.DeliveredAt.Uint())
 	h = mix(h, uint64(pkt.Retries))
 	p.traceHash = h
-	if g, ok := p.feedback[flowKey{pkt.Src, pkt.Dst, pkt.Class}]; ok {
-		g.Completed(pkt.DeliveredAt)
+	if row := p.feedback[pkt.Src]; row != nil {
+		if e := row[pkt.Dst*noc.NumClasses+int(pkt.Class)]; e.cl != nil {
+			e.cl.Completed(pkt.DeliveredAt)
+			p.sw.WakeFlow(e.flow)
+		}
 	}
 	if p.onDeliver != nil {
 		p.onDeliver(pkt)
@@ -560,15 +552,15 @@ func (p *Plane) materializeAdd(res *Reservation) {
 	spec := req.Spec()
 	seed := runner.DeriveSeed(p.cfg.Seed, int(res.ID&0x7fffffff))
 	var gen traffic.Generator
+	var cl *traffic.ClosedLoop
 	if req.Users > 0 {
 		clCfg := traffic.ClosedLoopConfig{Users: req.Users}
 		if req.Class == noc.GuaranteedLatency {
 			// GL traffic may never burst past its admitted sigma.
 			clCfg.SizeMin, clCfg.SizeMax = 1, req.Burst
 		}
-		cl := traffic.NewClosedLoop(&p.seq, spec, clCfg, seed)
-		p.feedback[flowKey{req.Src, req.Dst, req.Class}] = cl
-		gen = cl
+		cl = traffic.NewClosedLoop(&p.seq, spec, clCfg, seed)
+		gen = cl.Schedule()
 	} else if req.Class == noc.GuaranteedBandwidth {
 		load := req.Load
 		if load == 0 {
@@ -584,11 +576,17 @@ func (p *Plane) materializeAdd(res *Reservation) {
 		}
 		gen = traffic.NewPeriodic(&p.seq, spec, noc.CycleOf(interval), 0)
 	}
-	v := &valve{gen: gen}
-	p.valves[res.ID] = v
-	if err := p.sw.AddFlow(traffic.Flow{Spec: spec, Gen: v}); err != nil {
+	fi := p.sw.Flows()
+	if err := p.sw.AddFlow(traffic.Flow{Spec: spec, Gen: gen}); err != nil {
 		p.fail(fmt.Errorf("ctlplane: materialize reservation %d: %w", res.ID, err))
 		return
+	}
+	p.flowOf[res.ID] = fi
+	if cl != nil {
+		if p.feedback[req.Src] == nil {
+			p.feedback[req.Src] = make([]feedbackEntry, p.cfg.Radix*noc.NumClasses)
+		}
+		p.feedback[req.Src][req.Dst*noc.NumClasses+int(req.Class)] = feedbackEntry{cl: cl, flow: fi}
 	}
 	if res.ExpiresAt != 0 {
 		p.leases.push(leaseEntry{at: res.ExpiresAt, id: res.ID})
@@ -598,18 +596,22 @@ func (p *Plane) materializeAdd(res *Reservation) {
 	}
 }
 
-// detach silences a revoked/expired reservation's source. Admission
-// forbids duplicate (src,dst,class) reservations, so a present feedback
-// entry under this key always belongs to this reservation.
+// detach stops a revoked/expired reservation's source. The switch has
+// no flow removal: the flow stays attached, out of generation, and any
+// packets already queued drain at whatever priority the zeroed Vtick
+// leaves them — best effort. Deliveries stop crediting its closed-loop
+// source, if any.
 func (p *Plane) detach(res *Reservation) {
-	v, ok := p.valves[res.ID]
+	fi, ok := p.flowOf[res.ID]
 	if !ok {
 		return
 	}
-	v.off = true
-	delete(p.valves, res.ID)
-	if _, isCL := v.gen.(*traffic.ClosedLoop); isCL {
-		delete(p.feedback, flowKey{res.Req.Src, res.Req.Dst, res.Req.Class})
+	delete(p.flowOf, res.ID)
+	p.sw.StopFlow(fi)
+	if row := p.feedback[res.Req.Src]; row != nil {
+		if e := &row[res.Req.Dst*noc.NumClasses+int(res.Req.Class)]; e.cl != nil && e.flow == fi {
+			*e = feedbackEntry{}
+		}
 	}
 }
 

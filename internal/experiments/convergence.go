@@ -107,9 +107,11 @@ func Convergence(o Options) []ConvergenceOutcome {
 	return runner.Map(o.pool(), len(jobs), func(i int) ConvergenceOutcome { return jobs[i]() })
 }
 
-// gatedBacklog wraps a generator, suppressing it before cycle from.
+// gatedBacklog wraps a scheduling generator, suppressing it before
+// cycle from. It schedules too: the calendar sleeps through the gated
+// span instead of polling it.
 type gatedBacklog struct {
-	inner traffic.Generator
+	inner traffic.Scheduler
 	from  noc.Cycle
 }
 
@@ -120,6 +122,18 @@ func (g *gatedBacklog) Tick(now noc.Cycle, queued int) *noc.Packet {
 	}
 	return g.inner.Tick(now, queued)
 }
+
+// NextArrival implements traffic.Scheduler: the inner generator's next
+// arrival no earlier than the gate. Gated Ticks never reach the inner
+// generator, so it has no draws to make up for them.
+func (g *gatedBacklog) NextArrival(from noc.Cycle, queued int) (noc.Cycle, bool) {
+	return g.inner.NextArrival(max(from, g.from), queued)
+}
+
+// Emit implements traffic.Scheduler.
+func (g *gatedBacklog) Emit(now noc.Cycle) *noc.Packet { return g.inner.Emit(now) }
+
+var _ traffic.Scheduler = (*gatedBacklog)(nil)
 
 // ConvergenceTable renders the transient comparison.
 func ConvergenceTable(outcomes []ConvergenceOutcome) *stats.Table {

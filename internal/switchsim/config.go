@@ -57,15 +57,6 @@ type Config struct {
 	// flits already sent are counted in the switch's WastedFlits.
 	Preemption bool
 
-	// DynamicFlows permits AddFlow while the simulation is running — the
-	// reservation control plane (internal/ctlplane) attaches and revokes
-	// flows live. It forces polled source generation: the event-driven
-	// source calendar is sized when the first cycle runs and cannot
-	// absorb flows added later, and feedback-driven generators
-	// (traffic.ClosedLoop) cannot precompute arrival times anyway.
-	// Without this flag, AddFlow after the first Step is an error.
-	DynamicFlows bool
-
 	// AdmissionGate, when non-nil, is consulted before a packet moves
 	// from its source queue into the input buffer; returning false
 	// leaves the packet queued at the source. Source-throttling QoS

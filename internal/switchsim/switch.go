@@ -168,9 +168,6 @@ func New(cfg Config, newArb func(output int) arb.Arbiter) (*Switch, error) {
 	// nonempty: a fresh head is the only generation event that can make a
 	// barren input admissible again.
 	s.sources.SetOnNewHead(func(group int) { arb.MaskClear(s.admitSkip, group) })
-	if cfg.DynamicFlows {
-		s.sources.DisableEventDriven()
-	}
 	// Pre-seed the transmission free list (one in-flight packet per
 	// output is the maximum) so the steady-state loop never allocates.
 	s.txPool.Preload(cfg.Radix)
@@ -251,7 +248,11 @@ func (s *Switch) FaultTotals() faults.Counters {
 	return s.faults.Totals()
 }
 
-// AddFlow attaches a flow and its generator to the switch.
+// AddFlow attaches a flow and its generator to the switch. Flows may
+// be added at any cycle, including while the simulation runs (the
+// reservation control plane attaches reservations live): a flow added
+// at cycle c first generates at c. Its flow index is the number of
+// flows added before it (see Flows).
 func (s *Switch) AddFlow(f traffic.Flow) error {
 	if err := f.Spec.Validate(s.cfg.Radix); err != nil {
 		return err
@@ -259,12 +260,23 @@ func (s *Switch) AddFlow(f traffic.Flow) error {
 	if f.Gen == nil {
 		return fmt.Errorf("switchsim: flow %d->%d has no generator", f.Spec.Src, f.Spec.Dst)
 	}
-	if s.now != 0 && !s.cfg.DynamicFlows {
-		return fmt.Errorf("switchsim: AddFlow at cycle %d requires Config.DynamicFlows (the event-driven source calendar is already sealed)", s.now)
-	}
 	s.sources.Add(f, f.Spec.Src)
 	return nil
 }
+
+// Flows returns the number of flows attached so far.
+func (s *Switch) Flows() int { return s.sources.Len() }
+
+// StopFlow stops flow index f's generator for good; the packets already
+// in its source queue still drain (fabric.Sources.Stop).
+func (s *Switch) StopFlow(f int) { s.sources.Stop(f) }
+
+// WakeFlow re-arms flow index f's generation after feedback that can
+// move its next arrival, such as a traffic.ClosedLoop delivery
+// (fabric.Sources.Wake).
+//
+//ssvc:hotpath
+func (s *Switch) WakeFlow(f int) { s.sources.Wake(f) }
 
 // SourceQueueLen returns flow index f's current source-queue depth in
 // packets, for tests. Flow indices follow AddFlow order.

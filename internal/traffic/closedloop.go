@@ -76,10 +76,10 @@ type clRequest struct {
 // credits the oldest outstanding request. Under packet loss the timeout
 // resynchronizes the loop.
 //
-// ClosedLoop deliberately does not implement Scheduler: its arrival
-// times depend on delivery feedback, so the event-driven source calendar
-// cannot precompute them. Switches hosting it must generate by polling
-// (switchsim.Config.DynamicFlows forces this).
+// ClosedLoop does not itself implement Scheduler: its arrival times
+// depend on delivery feedback, which no prediction made at emission time
+// can see. Its calendar face is Schedule, a Scheduler of wake-ups that
+// the owner re-arms after every Completed (fabric.Sources.Wake).
 type ClosedLoop struct {
 	seq  *Sequence
 	spec noc.FlowSpec
@@ -207,6 +207,56 @@ func (g *ClosedLoop) Completed(now noc.Cycle) {
 	g.thinkUntil[u] = now + g.drawThink()
 	g.Done++
 }
+
+// Schedule returns the calendar face of the source: a Scheduler whose
+// arrivals are wake-ups. Between two of them a per-cycle Tick would
+// emit nothing, draw nothing and rotate its user scan a full lap back
+// to where it started, so sleeping through them is exact. Delivery
+// feedback is the one event outside generation that moves the next
+// wake-up: whoever calls Completed must then re-arm the flow
+// (fabric.Sources.Wake). Tick on the returned value is the source's own
+// Tick, so one ClosedLoop must be driven through one of the two faces.
+func (g *ClosedLoop) Schedule() *ClosedLoopSchedule { return &ClosedLoopSchedule{g: g} }
+
+// ClosedLoopSchedule is ClosedLoop's calendar face; see Schedule.
+type ClosedLoopSchedule struct{ g *ClosedLoop }
+
+var _ Scheduler = (*ClosedLoopSchedule)(nil)
+
+// Tick implements Generator by forwarding to the source.
+func (s *ClosedLoopSchedule) Tick(now noc.Cycle, queued int) *noc.Packet {
+	return s.g.Tick(now, queued)
+}
+
+// NextArrival implements Scheduler: the earliest of a pending emission
+// (a user mid-request emits at from), a think expiry, and the oldest
+// response deadline (requests are queued in deadline order). It draws
+// nothing, so it may be asked again after feedback.
+func (s *ClosedLoopSchedule) NextArrival(from noc.Cycle, queued int) (noc.Cycle, bool) {
+	g := s.g
+	var at noc.Cycle
+	ok := g.count > 0
+	if ok {
+		at = g.ring[g.head].deadline
+	}
+	for u, left := range g.remaining {
+		if left > 0 {
+			return from, true
+		}
+		if !g.awaiting[u] && (!ok || g.thinkUntil[u] < at) {
+			at, ok = g.thinkUntil[u], true
+		}
+	}
+	if at < from {
+		at = from
+	}
+	return at, ok
+}
+
+// Emit implements Scheduler by running the per-cycle Tick at the
+// wake-up; it returns nil when the wake-up only expired a response
+// deadline.
+func (s *ClosedLoopSchedule) Emit(now noc.Cycle) *noc.Packet { return s.g.Tick(now, 0) }
 
 // InFlight returns the number of requests awaiting responses.
 func (g *ClosedLoop) InFlight() int { return g.count }

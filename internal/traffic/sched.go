@@ -4,37 +4,41 @@ import "swizzleqos/internal/noc"
 
 // Scheduler is the event-driven face of a generator: instead of being
 // polled with Tick every cycle, a scheduling generator predicts the
-// cycle of its next emission so the sources layer can sleep until then
+// cycle of its next arrival so the sources layer can sleep until then
 // (fabric.Sources keeps a calendar over these). The contract mirrors
 // the polled protocol exactly:
 //
 //   - NextArrival(from, queued) returns the earliest cycle >= from at
-//     which Tick would have returned a packet, given that the flow's
-//     queue depth stays `queued` until then. It consumes exactly the
-//     RNG draws the per-cycle Tick calls for cycles [from, arrival]
-//     would have consumed, in the same order — so a generator driven
-//     through NextArrival/Emit produces bit-identical packet streams
-//     (and leaves its RNG in the identical state) to one driven
-//     through Tick. ok=false means no arrival will ever come without
-//     an external event: the trace ran dry, the rate is zero, or a
-//     depth-bounded source is full until a queue pop re-arms it.
-//   - Emit(now) creates the packet for the arrival NextArrival
-//     announced; now must be that arrival cycle. It performs any draws
-//     the polled protocol ties to the emission itself (Bursty's
-//     burst-exit draw).
+//     which Tick would have returned a packet or changed the
+//     generator's state other than by an RNG draw, given that the
+//     flow's queue depth stays `queued` until then. It consumes exactly
+//     the RNG draws the per-cycle Tick calls for cycles [from, arrival]
+//     would have made before emitting, in the same order — so a
+//     generator driven through NextArrival/Emit produces bit-identical
+//     packet streams (and leaves its RNG in the identical state) to one
+//     driven through Tick. ok=false means no arrival will ever come
+//     without an external event: the trace ran dry, the rate is zero,
+//     or a depth-bounded source is full until a queue pop re-arms it.
+//   - Emit(now) performs the arrival NextArrival announced; now must be
+//     that arrival cycle. It performs any draws the polled protocol
+//     ties to the emission itself (Bursty's burst-exit draw). An
+//     arrival may be a wake-up that only changes state: Emit then
+//     returns nil (a ClosedLoopSchedule whose response deadline
+//     expired, or a per-cycle adapter whose Tick emitted nothing).
 //
 // The caller alternates NextArrival/Emit strictly: one Emit per
 // successful NextArrival, then a fresh NextArrival(now+1, ...).
 // Callers whose queue depth changes between the two (a pop during
 // admission) re-arm blocked flows through NextArrival with the new
-// depth; see fabric.Sources.
+// depth, and callers of feedback-driven generators ask a draw-free
+// NextArrival again after the feedback; see fabric.Sources.
 type Scheduler interface {
 	Generator
 	NextArrival(from noc.Cycle, queued int) (noc.Cycle, bool)
 	Emit(now noc.Cycle) *noc.Packet
 }
 
-// Compile-time checks: every stock generator schedules.
+// Compile-time checks: every stock open-loop generator schedules.
 var (
 	_ Scheduler = (*Bernoulli)(nil)
 	_ Scheduler = (*Periodic)(nil)
